@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"webmm/internal/memsys"
 	"webmm/internal/workload"
 )
 
@@ -93,6 +94,47 @@ func TestCellFingerprint(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("cell fingerprint mismatch:\n got %swant %s"+
+			"(simulator outputs changed: bump cellCacheVersion and rerun with -update)",
+			got, want)
+	}
+}
+
+// TestDRAMFingerprint is TestCellFingerprint for the DRAM memory system:
+// one 8-core MediaWiki(rw) memsched cell per registered scheduling policy,
+// one "v<cellCacheVersion> <policy> <sha256 of the result JSON>" line
+// each. The result carries the model's full Stats (row outcomes, queue
+// depths, per-core factors), so any drift in how a policy orders a bank
+// window fails here, not just in the rendered memsched table.
+func TestDRAMFingerprint(t *testing.T) {
+	path := filepath.Join("testdata", "dram_fingerprint.txt")
+
+	r := NewRunner(goldenCfg())
+	var b strings.Builder
+	for _, p := range memsys.PolicyNames() {
+		res := r.Run(memSchedCell("default", string(p), 8))
+		if res.Failed || res.Res.Mem == nil {
+			t.Fatalf("%s: cell failed or kept no DRAM stats: %+v", p, res)
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		fmt.Fprintf(&b, "v%d %s %s\n", cellCacheVersion, p, hex.EncodeToString(sum[:]))
+	}
+	got := b.String()
+
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fingerprint file (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("DRAM cell fingerprints mismatch:\n got:\n%swant:\n%s"+
 			"(simulator outputs changed: bump cellCacheVersion and rerun with -update)",
 			got, want)
 	}
