@@ -2,6 +2,8 @@ package memsys
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"webmm/internal/bus"
 	"webmm/internal/mem"
@@ -19,8 +21,9 @@ type DRAMConfig struct {
 	RowBytes        uint64
 
 	// Window is the per-bank queue depth at which pending requests are
-	// scheduled and replayed. Larger windows give the policy more
-	// reordering freedom; 1 degenerates to FCFS regardless of policy.
+	// scheduled and replayed, 1..64 (the replay tracks a window as the
+	// bits of one uint64). Larger windows give the policy more reordering
+	// freedom; 1 degenerates to FCFS regardless of policy.
 	Window int
 
 	// Policy names the scheduling policy (DefaultPolicy when empty).
@@ -54,11 +57,22 @@ var defaultDRAMConfig = DRAMConfig{
 // rowClosed marks a precharged bank (no open row).
 const rowClosed int64 = -1
 
-// bank is one DRAM bank: its open row and its pending request queue
-// (arrival-ordered; scheduled in windows).
+// maxWindow is the widest scheduling window: serviceWindow tracks a
+// window's pending slots as the bits of one uint64.
+const maxWindow = 64
+
+// maxBanks bounds the geometry so a bad config is an error, not an
+// allocation failure: far beyond any real controller's bank count.
+const maxBanks = 1 << 12
+
+// bank is one DRAM bank: its open row and a fixed window of request slots
+// held as two columns, filled in arrival order (slot index = age) and
+// drained all at once when full.
 type bank struct {
 	openRow int64
-	pending []request
+	n       int     // occupied slots
+	rows    []int64 // each pending request's row
+	cores   []int32 // each pending request's issuing core
 }
 
 // DRAM models a multi-bank memory behind the platform's transfer link. It
@@ -79,18 +93,22 @@ type DRAM struct {
 	nCores int
 	sched  scheduler
 
-	banks           []bank
-	linesPerRow     uint64
-	banksPerChannel int
-	seq             uint64
+	banks    []bank
+	coreMask []uint64 // serviceWindow's per-core slot masks
+
+	// The address map as shifts and masks (the geometry is powers of
+	// two): channel = line & chanMask, rowGlobal = line >> rowShift, bank
+	// = channel<<bankBits | rowGlobal&bankMask, row = rowGlobal >> bankBits.
+	chanMask, bankMask uint64
+	rowShift, bankBits int
 
 	// Accumulated over all serviced requests.
-	reads, writebacks, prefetches uint64
-	hits, closed, conflicts       uint64
-	queueSum, queueSamples        uint64
-	maxQueue                      int
-	coreScore                     []float64
-	coreReqs                      []uint64
+	kinds                   [Prefetch + 1]uint64 // requests by Kind
+	hits, closed, conflicts uint64
+	queueSum                uint64
+	maxQueue                int
+	coreScore               []float64
+	coreReqs                []uint64
 
 	// Lazily finalized on the first solver query: partial windows flush
 	// and the derived factors freeze.
@@ -135,36 +153,63 @@ func NewDRAM(cfg DRAMConfig, link bus.Model, nCores int) (*DRAM, error) {
 	if _, err := PolicyByName(cfg.Policy); err != nil {
 		return nil, err
 	}
-	if cfg.RowBytes%mem.LineSize != 0 || cfg.RowBytes < mem.LineSize {
-		return nil, fmt.Errorf("memsys: row size %d not a multiple of the %d-byte line", cfg.RowBytes, mem.LineSize)
+	nBanks := 1
+	for _, n := range []int{cfg.Channels, cfg.RanksPerChannel, cfg.BanksPerRank} {
+		if n < 1 || n > maxBanks/nBanks || !isPow2(uint64(n)) {
+			return nil, fmt.Errorf("memsys: DRAM geometry %d channels × %d ranks × %d banks: each must be a power of two and the product at most %d",
+				cfg.Channels, cfg.RanksPerChannel, cfg.BanksPerRank, maxBanks)
+		}
+		nBanks *= n
+	}
+	linesPerRow := cfg.RowBytes / mem.LineSize
+	if cfg.RowBytes%mem.LineSize != 0 || !isPow2(linesPerRow) {
+		return nil, fmt.Errorf("memsys: row size %d not a power-of-two multiple of the %d-byte line", cfg.RowBytes, mem.LineSize)
+	}
+	if cfg.Window < 1 || cfg.Window > maxWindow {
+		return nil, fmt.Errorf("memsys: scheduling window %d outside 1..%d", cfg.Window, maxWindow)
+	}
+	// ATLAS's class rule needs attained service totally ordered: no NaN.
+	for _, f := range []float64{cfg.HitFactor, cfg.ClosedFactor, cfg.ConflictFactor} {
+		if !(f > 0) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("memsys: service factors hit %v, closed %v, conflict %v: each must be positive and finite",
+				cfg.HitFactor, cfg.ClosedFactor, cfg.ConflictFactor)
+		}
 	}
 	if nCores < 1 {
 		return nil, fmt.Errorf("memsys: nCores %d out of range", nCores)
 	}
-	nBanks := cfg.Channels * cfg.RanksPerChannel * cfg.BanksPerRank
 	d := &DRAM{
-		cfg:             cfg,
-		link:            link,
-		nCores:          nCores,
-		sched:           newScheduler(cfg.Policy, nCores),
-		banks:           make([]bank, nBanks),
-		linesPerRow:     cfg.RowBytes / mem.LineSize,
-		banksPerChannel: cfg.RanksPerChannel * cfg.BanksPerRank,
-		coreScore:       make([]float64, nCores),
-		coreReqs:        make([]uint64, nCores),
+		cfg:       cfg,
+		link:      link,
+		nCores:    nCores,
+		sched:     newScheduler(cfg.Policy, nCores),
+		banks:     make([]bank, nBanks),
+		coreMask:  make([]uint64, nCores),
+		chanMask:  uint64(cfg.Channels) - 1,
+		bankMask:  uint64(nBanks/cfg.Channels) - 1,
+		rowShift:  bits.TrailingZeros64(uint64(cfg.Channels) * linesPerRow),
+		bankBits:  bits.TrailingZeros64(uint64(nBanks / cfg.Channels)),
+		coreScore: make([]float64, nCores),
+		coreReqs:  make([]uint64, nCores),
 	}
+	// Every bank's window slots, carved out of one allocation per column.
+	w := cfg.Window
+	rows, cores := make([]int64, nBanks*w), make([]int32, nBanks*w)
 	for i := range d.banks {
-		d.banks[i].openRow = rowClosed
+		lo, hi := i*w, (i+1)*w
+		d.banks[i] = bank{openRow: rowClosed, rows: rows[lo:hi:hi], cores: cores[lo:hi:hi]}
 	}
 	return d, nil
 }
+
+func isPow2(n uint64) bool { return n != 0 && n&(n-1) == 0 }
 
 func (d *DRAM) Name() string       { return "dram/" + string(d.cfg.Policy) }
 func (d *DRAM) Recorder() Recorder { return d }
 func (d *DRAM) Link() bus.Model    { return d.link }
 
-// Record maps one bus transaction to its bank and row and enqueues it;
-// when the bank's queue reaches the scheduling window it is serviced. The
+// Record maps one bus transaction to its bank and row and writes it into
+// the bank's next window slot; when the window fills it is serviced. The
 // address map stripes lines across channels and consecutive rows across a
 // channel's banks, so sequential sweeps enjoy row locality while
 // independent heaps land on independent banks.
@@ -174,45 +219,48 @@ func (d *DRAM) Record(line uint64, core int, kind Kind) {
 		// the frozen factors; the machine never does this.
 		panic("memsys: Record after finalize")
 	}
-	ch := int(line % uint64(d.cfg.Channels))
-	rowGlobal := line / uint64(d.cfg.Channels) / d.linesPerRow
-	bankID := ch*d.banksPerChannel + int(rowGlobal%uint64(d.banksPerChannel))
-	row := int64(rowGlobal / uint64(d.banksPerChannel))
-
-	b := &d.banks[bankID]
-	b.pending = append(b.pending, request{row: row, seq: d.seq, core: int32(core), kind: kind})
-	d.seq++
-	switch kind {
-	case Read:
-		d.reads++
-	case Writeback:
-		d.writebacks++
-	default:
-		d.prefetches++
-	}
-	depth := len(b.pending)
-	d.queueSum += uint64(depth)
-	d.queueSamples++
-	if depth > d.maxQueue {
-		d.maxQueue = depth
-	}
-	if depth >= d.cfg.Window {
+	rowGlobal := line >> d.rowShift
+	b := &d.banks[(line&d.chanMask)<<d.bankBits|rowGlobal&d.bankMask]
+	b.rows[b.n] = int64(rowGlobal >> d.bankBits)
+	b.cores[b.n] = int32(core)
+	b.n++
+	d.kinds[min(kind, Prefetch)]++ // unknown kinds count as prefetches
+	if b.n == len(b.rows) {
 		d.serviceWindow(b)
 	}
 }
 
-// serviceWindow drains one bank's pending queue under the scheduling
-// policy: repeatedly pick, classify against the open row, charge the
-// request its service factor plus the time already elapsed in the window
-// (bank-level queueing), and update the row buffer.
+// serviceWindow drains one bank's window under the scheduling policy.
+// Slot order is arrival order, so each pick — the policy's class rule,
+// then open-row hits, then oldest — is the lowest set bit of
+// eligible&hits, or of eligible when none of those hits (DESIGN.md §10
+// argues this is exactly the comparator order). Each service is
+// classified against the open row, charged its service factor plus the
+// time already elapsed in the window (bank-level queueing), and moves the
+// row buffer.
 func (d *DRAM) serviceWindow(b *bank) {
+	rows, cores := b.rows[:b.n], b.cores[:b.n]
+	// The window's requests found depths 1..n on arrival.
+	d.queueSum += uint64(b.n * (b.n + 1) / 2)
+	d.maxQueue = max(d.maxQueue, b.n)
+	for i, c := range cores {
+		d.coreMask[c] |= 1 << i
+	}
+	pending := uint64(1)<<len(rows) - 1
+	hits := rowSlots(rows, pending, b.openRow)
 	elapsed := 0.0
-	for len(b.pending) > 0 {
-		idx := d.sched.pick(b.pending, b.openRow)
-		r := b.pending[idx]
+	for pending != 0 {
+		eligible := d.sched.eligible(pending, d.coreMask)
+		pick := eligible & hits
+		if pick == 0 {
+			pick = eligible
+		}
+		i := bits.TrailingZeros64(pick)
+		pending &^= 1 << i
+		row, core := rows[i], cores[i]
 		var units float64
 		switch {
-		case r.row == b.openRow:
+		case row == b.openRow:
 			units = d.cfg.HitFactor
 			d.hits++
 		case b.openRow == rowClosed:
@@ -222,13 +270,31 @@ func (d *DRAM) serviceWindow(b *bank) {
 			units = d.cfg.ConflictFactor
 			d.conflicts++
 		}
-		b.openRow = r.row
-		d.coreScore[r.core] += elapsed + units
-		d.coreReqs[r.core]++
+		if row != b.openRow {
+			b.openRow = row
+			hits = rowSlots(rows, pending, row)
+		}
+		d.coreScore[core] += elapsed + units
+		d.coreReqs[core]++
 		elapsed += units
-		d.sched.served(r.core, units)
-		b.pending = append(b.pending[:idx], b.pending[idx+1:]...)
+		d.sched.served(core, units)
 	}
+	for _, c := range cores {
+		d.coreMask[c] = 0
+	}
+	b.n = 0
+}
+
+// rowSlots returns the slots of pending whose request targets row. Served
+// slots may stay set in the result: eligible masks never contain them.
+func rowSlots(rows []int64, pending uint64, row int64) uint64 {
+	var m uint64
+	for p := pending; p != 0; p &= p - 1 {
+		if i := bits.TrailingZeros64(p); rows[i] == row {
+			m |= 1 << i
+		}
+	}
+	return m
 }
 
 // finalize flushes partial windows and freezes the derived factors. Called
@@ -240,7 +306,7 @@ func (d *DRAM) finalize() {
 	}
 	d.finalized = true
 	for i := range d.banks {
-		if len(d.banks[i].pending) > 0 {
+		if d.banks[i].n > 0 {
 			d.serviceWindow(&d.banks[i])
 		}
 	}
@@ -272,21 +338,22 @@ func (d *DRAM) finalize() {
 	}
 
 	s := &Stats{
-		Model:        "dram",
-		Policy:       string(d.cfg.Policy),
-		Banks:        len(d.banks),
-		Reads:        d.reads,
-		Writebacks:   d.writebacks,
-		Prefetches:   d.prefetches,
-		RowHits:      d.hits,
-		RowClosed:    d.closed,
-		RowConflicts: d.conflicts,
+		Model:         "dram",
+		Policy:        string(d.cfg.Policy),
+		Banks:         len(d.banks),
+		Reads:         d.kinds[Read],
+		Writebacks:    d.kinds[Writeback],
+		Prefetches:    d.kinds[Prefetch],
+		RowHits:       d.hits,
+		RowClosed:     d.closed,
+		RowConflicts:  d.conflicts,
 		MaxQueueDepth: d.maxQueue,
-		RowFactor:    d.rowFactor,
-		CoreFactors:  d.coreFactors,
+		RowFactor:     d.rowFactor,
+		CoreFactors:   d.coreFactors,
 	}
-	if d.queueSamples > 0 {
-		s.AvgQueueDepth = float64(d.queueSum) / float64(d.queueSamples)
+	if n := s.Total(); n > 0 {
+		// One queue-depth sample per recorded request.
+		s.AvgQueueDepth = float64(d.queueSum) / float64(n)
 	}
 	d.stats = s
 }

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -164,8 +165,7 @@ func TestDRAMRowBufferBehavior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	linesPerRow := fc.cfg.RowBytes / 64
-	strideLines := uint64(fc.cfg.Channels) * linesPerRow * uint64(fc.banksPerChannel)
+	strideLines := sameBankStride(DRAMConfig{})
 	for i := 0; i < 100; i++ {
 		fc.Record(uint64(i%2)*strideLines, 0, Read)
 	}
@@ -244,15 +244,50 @@ func TestDRAMNoTrafficMatchesBus(t *testing.T) {
 	}
 }
 
+// NewDRAM must turn every bad configuration into an error: the geometry
+// feeds an allocation and a shift-and-mask address map, the window is a
+// 64-bit slot mask, and the service factors order ATLAS's attained service.
 func TestNewDRAMValidation(t *testing.T) {
-	if _, err := NewDRAM(DRAMConfig{Policy: "lifo"}, testLink(), 1); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if _, err := NewDRAM(DRAMConfig{RowBytes: 100}, testLink(), 1); err == nil {
-		t.Error("non-line-multiple row size accepted")
-	}
-	if _, err := NewDRAM(DRAMConfig{}, testLink(), 0); err == nil {
-		t.Error("zero cores accepted")
+	for _, tc := range []struct {
+		name  string
+		cfg   DRAMConfig
+		cores int
+		err   string // substring of the error; "" = accepted
+	}{
+		{"defaults", DRAMConfig{}, 1, ""},
+		{"FCFS window", DRAMConfig{Window: 1}, 8, ""},
+		{"widest window", DRAMConfig{Window: 64}, 8, ""},
+		{"one bank", DRAMConfig{Channels: 1, RanksPerChannel: 1, BanksPerRank: 1, RowBytes: 64}, 1, ""},
+		{"unknown policy", DRAMConfig{Policy: "lifo"}, 1, "unknown scheduling policy"},
+		{"row not a line multiple", DRAMConfig{RowBytes: 100}, 1, "row size"},
+		{"row below one line", DRAMConfig{RowBytes: 32}, 1, "row size"},
+		{"row of three lines", DRAMConfig{RowBytes: 3 * 64}, 1, "row size"},
+		{"zero cores", DRAMConfig{}, 0, "nCores"},
+		{"negative channels", DRAMConfig{Channels: -1}, 1, "geometry"},
+		{"negative ranks", DRAMConfig{RanksPerChannel: -2}, 1, "geometry"},
+		{"negative banks", DRAMConfig{BanksPerRank: -8}, 1, "geometry"},
+		{"three channels", DRAMConfig{Channels: 3}, 1, "geometry"},
+		{"six banks", DRAMConfig{BanksPerRank: 6}, 1, "geometry"},
+		{"bank count overflow", DRAMConfig{Channels: 1 << 30, RanksPerChannel: 1 << 30, BanksPerRank: 1 << 30}, 1, "geometry"},
+		{"negative window", DRAMConfig{Window: -3}, 1, "window"},
+		{"window past the mask", DRAMConfig{Window: 65}, 1, "window"},
+		{"negative conflict factor", DRAMConfig{ConflictFactor: -1.4}, 1, "service factors"},
+		{"NaN hit factor", DRAMConfig{HitFactor: math.NaN()}, 1, "service factors"},
+		{"infinite closed factor", DRAMConfig{ClosedFactor: math.Inf(1)}, 1, "service factors"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDRAM(tc.cfg, testLink(), tc.cores)
+			switch {
+			case tc.err == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.err == "":
+				d.Record(12345, tc.cores-1, Read) // usable
+			case err == nil:
+				t.Fatalf("accepted, want an error containing %q", tc.err)
+			case !strings.Contains(err.Error(), tc.err):
+				t.Fatalf("error %q does not mention %q", err, tc.err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -118,21 +119,15 @@ func PoliciesMarkdown() string {
 	return b.String()
 }
 
-// request is one pending transaction in a bank queue.
-type request struct {
-	row  int64
-	seq  uint64
-	core int32
-	kind Kind
-}
-
-// scheduler orders one bank's pending window. pick returns the index (into
-// pending, which is in arrival order) of the request to service next given
-// the bank's open row (-1 = precharged); served notifies the scheduler of
-// the service so it can maintain per-core state. Implementations must be
-// deterministic: equal-priority ties always break to the oldest request.
+// scheduler orders one bank's window. eligible returns the slots the
+// policy serves first: a subset of pending, the bitmask of the window's
+// unserved slots, where coreMask[c] holds every slot of the window issued
+// by core c (served ones included). Within that subset the replay serves
+// open-row hits first and then the oldest slot, so each policy is its class
+// rule alone. served notifies the scheduler of each service so it can
+// maintain per-core state. Implementations must be deterministic.
 type scheduler interface {
-	pick(pending []request, openRow int64) int
+	eligible(pending uint64, coreMask []uint64) uint64
 	served(core int32, units float64)
 }
 
@@ -153,55 +148,52 @@ func newScheduler(name PolicyName, nCores int) scheduler {
 	}
 }
 
-// pickBest scans pending for the request with the lowest key; ties break to
-// the earlier index, which is the older request (pending is arrival-ordered
-// and seq increases monotonically). key layers priorities: callers compose
-// (classPriority, !rowHit, seq) into a comparable triple via less().
-func pickBest(pending []request, less func(a, b int) bool) int {
-	best := 0
-	for i := 1; i < len(pending); i++ {
-		if less(i, best) {
-			best = i
+// unmarkedFirst is the class rule TCM and BLISS share: the pending slots
+// of cores not marked, or all of pending when only marked cores have any.
+func unmarkedFirst(pending uint64, coreMask []uint64, marked []bool) uint64 {
+	var m uint64
+	for c, slots := range coreMask {
+		if !marked[c] {
+			m |= slots
 		}
 	}
-	return best
+	if m &= pending; m != 0 {
+		return m
+	}
+	return pending
 }
 
-// frfcfs: row hits before row misses, oldest first within each class.
+// frfcfs: row hits before row misses, oldest first within each class —
+// every pending slot is eligible.
 type frfcfs struct{}
 
-func (f *frfcfs) pick(pending []request, openRow int64) int {
-	return pickBest(pending, func(a, b int) bool {
-		ha, hb := pending[a].row == openRow, pending[b].row == openRow
-		if ha != hb {
-			return ha
-		}
-		return pending[a].seq < pending[b].seq
-	})
-}
+func (f *frfcfs) eligible(pending uint64, coreMask []uint64) uint64 { return pending }
 
 func (f *frfcfs) served(core int32, units float64) {}
 
-// atlas: the core with the least attained service wins; within a core's
-// requests, FR-FCFS rules apply. (The real ATLAS ages service over long
-// quanta across all controllers; a single controller over one measured run
+// atlas: the cores tied at the least attained service are eligible; within
+// them, FR-FCFS rules apply. (The real ATLAS ages service over long quanta
+// across all controllers; a single controller over one measured run
 // reduces that to monotone per-core accounting.)
 type atlas struct {
 	attained []float64
 }
 
-func (a *atlas) pick(pending []request, openRow int64) int {
-	return pickBest(pending, func(x, y int) bool {
-		ax, ay := a.attained[pending[x].core], a.attained[pending[y].core]
-		if ax != ay {
-			return ax < ay
+func (a *atlas) eligible(pending uint64, coreMask []uint64) uint64 {
+	var best uint64
+	least := math.Inf(1)
+	for c, slots := range coreMask {
+		if slots &= pending; slots == 0 {
+			continue
 		}
-		hx, hy := pending[x].row == openRow, pending[y].row == openRow
-		if hx != hy {
-			return hx
+		switch s := a.attained[c]; {
+		case s < least:
+			least, best = s, slots
+		case s == least:
+			best |= slots
 		}
-		return pending[x].seq < pending[y].seq
-	})
+	}
+	return best
 }
 
 func (a *atlas) served(core int32, units float64) { a.attained[core] += units }
@@ -220,18 +212,8 @@ type tcm struct {
 	services  uint64
 }
 
-func (t *tcm) pick(pending []request, openRow int64) int {
-	return pickBest(pending, func(a, b int) bool {
-		ba, bb := t.bwHeavy[pending[a].core], t.bwHeavy[pending[b].core]
-		if ba != bb {
-			return !ba
-		}
-		ha, hb := pending[a].row == openRow, pending[b].row == openRow
-		if ha != hb {
-			return ha
-		}
-		return pending[a].seq < pending[b].seq
-	})
+func (t *tcm) eligible(pending uint64, coreMask []uint64) uint64 {
+	return unmarkedFirst(pending, coreMask, t.bwHeavy)
 }
 
 func (t *tcm) served(core int32, units float64) {
@@ -277,18 +259,8 @@ type bliss struct {
 	services    uint64
 }
 
-func (b *bliss) pick(pending []request, openRow int64) int {
-	return pickBest(pending, func(x, y int) bool {
-		bx, by := b.blacklisted[pending[x].core], b.blacklisted[pending[y].core]
-		if bx != by {
-			return !bx
-		}
-		hx, hy := pending[x].row == openRow, pending[y].row == openRow
-		if hx != hy {
-			return hx
-		}
-		return pending[x].seq < pending[y].seq
-	})
+func (b *bliss) eligible(pending uint64, coreMask []uint64) uint64 {
+	return unmarkedFirst(pending, coreMask, b.blacklisted)
 }
 
 func (b *bliss) served(core int32, units float64) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# bench.sh — measure the committed hot-path benchmarks and regenerate
-# BENCH_fig1.json at the repository root.
+# bench.sh — measure the committed hot-path benchmarks against a paired
+# baseline and regenerate BENCH_fig1.json at the repository root.
 #
-# Usage: scripts/bench.sh [reps]
+# Usage: scripts/bench.sh [reps] [pre-commit]
 #
 # Four benchmarks are tracked:
 #   fig1_full    BenchmarkFig1Cell        single Figure-1 cell, full fidelity
@@ -10,37 +10,57 @@
 #   l2_heavy     BenchmarkCellL2Heavy     8-core Niagara cell (L2-bound)
 #   dram_cell    BenchmarkDRAMCell        fig1_full over the DRAM model (frfcfs)
 #
-# Each is run `reps` times (default 5) with -benchmem under GOMAXPROCS=1
-# (the repo's convention for committed numbers) and the minimum ns/op run is
-# recorded: the minimum is the least-noise estimator on shared machines —
-# every source of interference only ever slows a run down. B/op and
-# allocs/op are effectively deterministic and are taken from the same run.
+# "pre" is pre-commit (default HEAD, the parent of an uncommitted change);
+# "post" is the working tree. Each side's test binary is built once — pre
+# from a clean export of the commit — and the two are run alternately,
+# `reps` times per benchmark (default 5), swapping which side goes first
+# every rep, with -benchtime 4x -benchmem under GOMAXPROCS=1 (the repo's
+# convention for committed numbers). Shared hosts drift by tens of percent
+# across hours, so only runs paired in the same window are comparable. The
+# minimum ns/op of each side is recorded: every source of interference only
+# ever slows a run down. B/op and allocs/op are effectively deterministic
+# and are taken from the same run. dram_over_fig1_pct is the DRAM model's
+# overhead, dram_cell over fig1_full, on each side (see overhead below).
 #
-# The "pre" block pins the previous commit's numbers, measured with this
-# method in the SAME session window as the committed post numbers by
-# interleaving runs of prebuilt pre/post test binaries (shared hosts drift
-# by tens of percent across hours, so only paired same-window runs are
-# comparable). CI's bench-smoke job gates allocs/op and B/op against the
-# committed fig1_full post values.
+# CI's bench-smoke job gates allocs/op and B/op against the committed
+# fig1_full post values.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 reps="${1:-5}"
+pre_commit="$(git rev-parse --short "${2:-HEAD}")"
+benches=(BenchmarkFig1Cell BenchmarkDRAMCell BenchmarkFig1CellSampled BenchmarkCellL2Heavy)
 
-# Paired baseline: commit 0d19ea7, interleaved with the post measurements.
-pre_commit="0d19ea7"
-pre_fig1_full="202233552 16941856 24245"
-pre_fig1_sampled="1277126496 32386516 132573"
-pre_l2_heavy="1008271706 66910628 97303"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/pre"
+git archive "$pre_commit" | tar -x -C "$work/pre"
+(cd "$work/pre" && go test -c -o "$work/pre.test" .)
+go test -c -o "$work/post.test" .
 
-# measure <bench-regex> -> "ns bytes allocs" (min-ns rep)
-measure() {
-  local tmp
-  tmp="$(mktemp)"
-  for _ in $(seq 1 "$reps"); do
-    GOMAXPROCS=1 go test -run '^$' -bench "^${1}\$" -benchtime 4x -benchmem . |
-      awk -v b="$1" '$1 == b { print }' >>"$tmp"
+# run <pre|post> <bench>: one rep, its result line appended to $work/<side>.<bench>
+run() {
+  local dir=.
+  if [ "$1" = pre ]; then dir="$work/pre"; fi
+  (cd "$dir" && GOMAXPROCS=1 "$work/$1.test" -test.run '^$' -test.bench "^${2}\$" \
+    -test.benchtime 4x -test.benchmem -test.timeout 30m) |
+    awk -v b="$2" '$1 == b { print }' >>"$work/$1.$2"
+}
+
+for rep in $(seq 1 "$reps"); do
+  for b in "${benches[@]}"; do
+    if [ $((rep % 2)) -eq 1 ]; then
+      run pre "$b"
+      run post "$b"
+    else
+      run post "$b"
+      run pre "$b"
+    fi
   done
+done
+
+# best <pre|post> <bench> -> "ns bytes allocs" (min-ns rep)
+best() {
   awk '
     {
       for (i = 1; i <= NF; i++) {
@@ -48,39 +68,28 @@ measure() {
         if ($i == "B/op") bytes = $(i-1)
         if ($i == "allocs/op") allocs = $(i-1)
       }
-      if (best == "" || ns + 0 < best + 0) { best = ns; bbytes = bytes; ballocs = allocs }
+      if (min == "" || ns + 0 < min + 0) { min = ns; mbytes = bytes; mallocs = allocs }
     }
-    END { print best, bbytes, ballocs }
-  ' "$tmp"
-  rm -f "$tmp"
+    END { print min, mbytes, mallocs }
+  ' "$work/$1.$2"
 }
 
-# block_new <key> <bench> <note> <post "ns bytes allocs"> [,]
-# For benchmarks introduced in the current change: no paired pre exists, so
-# the entry records only the post numbers and a note naming its reference.
-block_new() {
-  local key="$1" bench="$2" note="$3" comma="${5:-}"
-  read -r ns bytes allocs <<<"$4"
-  cat <<EOF
-    "$key": {
-      "benchmark": "$bench",
-      "note": "$note",
-      "post": {
-        "ns_per_op": $ns,
-        "bytes_per_op": $bytes,
-        "allocs_per_op": $allocs
-      }
-    }$comma
-EOF
+# overhead <pre|post> -> dram_cell over fig1_full in percent: the median over
+# reps of each rep's ratio (one rep's two runs are seconds apart, so a slow
+# stretch of the host inflates both; the ratio of the two minimums could
+# pair runs from different stretches)
+overhead() {
+  local ns='{ for (i = 1; i <= NF; i++) if ($i == "ns/op") print $(i-1) }'
+  paste <(awk "$ns" "$work/$1.BenchmarkFig1Cell") <(awk "$ns" "$work/$1.BenchmarkDRAMCell") |
+    awk '{ print 100 * ($2 / $1 - 1) }' | sort -g |
+    awk '{ v[NR] = $1 } END { printf "%.1f", NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
 }
 
-# block <key> <bench> <pre "ns bytes allocs"> <post "ns bytes allocs"> [,]
+# block <key> <bench> [,]
 block() {
-  local key="$1" bench="$2" comma="${5:-}"
-  read -r pns pbytes pallocs <<<"$3"
-  read -r ns bytes allocs <<<"$4"
-  local imp
-  imp=$(awk -v a="$pns" -v b="$ns" 'BEGIN { printf "%.1f", 100 * (1 - b / a) }')
+  local key="$1" bench="$2" comma="${3:-}"
+  read -r pns pbytes pallocs <<<"$(best pre "$bench")"
+  read -r ns bytes allocs <<<"$(best post "$bench")"
   cat <<EOF
     "$key": {
       "benchmark": "$bench",
@@ -95,20 +104,18 @@ block() {
         "bytes_per_op": $bytes,
         "allocs_per_op": $allocs
       },
-      "improvement_pct": $imp
+      "improvement_pct": $(awk -v a="$pns" -v b="$ns" 'BEGIN { printf "%.1f", 100 * (1 - b / a) }')
     }$comma
 EOF
 }
 
-full=$(measure BenchmarkFig1Cell)
-sampled=$(measure BenchmarkFig1CellSampled)
-l2=$(measure BenchmarkCellL2Heavy)
-dram=$(measure BenchmarkDRAMCell)
+pre_over=$(overhead pre)
+post_over=$(overhead post)
 
 {
   cat <<EOF
 {
-  "method": "min of $reps runs each, go test -benchtime 4x -benchmem, GOMAXPROCS=1; pre = commit $pre_commit measured interleaved in the same session window",
+  "method": "min of $reps runs each, go test -benchtime 4x -benchmem, GOMAXPROCS=1; pre = commit $pre_commit, its test binary run alternately with post's in one time window; dram_over_fig1_pct = median over reps of each rep's dram_cell/fig1_full ratio",
   "cells": {
     "fig1_full": "xeon/default/MediaWiki(rw)/8 cores, scale 64, warmup 1, measure 2",
     "fig1_sampled": "xeon/default/MediaWiki(rw)/8 cores, scale 32, warmup 1, measure 64, fidelity sampled",
@@ -117,18 +124,19 @@ dram=$(measure BenchmarkDRAMCell)
   },
   "benchmarks": {
 EOF
-  block fig1_full BenchmarkFig1Cell "$pre_fig1_full" "$full" ,
-  read -r full_ns _ <<<"$full"
-  read -r dram_ns _ <<<"$dram"
-  dram_note="new in the memsys change: no pre; the reference is fig1_full.post measured in the same session (${full_ns} ns), the delta is the DRAM recording + window-replay overhead"
-  block_new dram_cell BenchmarkDRAMCell "$dram_note" "$dram" ,
-  block fig1_sampled BenchmarkFig1CellSampled "$pre_fig1_sampled" "$sampled" ,
-  block l2_heavy BenchmarkCellL2Heavy "$pre_l2_heavy" "$l2"
+  block fig1_full BenchmarkFig1Cell ,
+  block dram_cell BenchmarkDRAMCell ,
+  block fig1_sampled BenchmarkFig1CellSampled ,
+  block l2_heavy BenchmarkCellL2Heavy
   cat <<EOF
+  },
+  "dram_over_fig1_pct": {
+    "pre": $pre_over,
+    "post": $post_over
   }
 }
 EOF
 } >BENCH_fig1.json
 
-read -r ns bytes allocs <<<"$full"
-echo "BENCH_fig1.json: fig1_full ${ns} ns/op, ${bytes} B/op, ${allocs} allocs/op"
+read -r full _ <<<"$(best post BenchmarkFig1Cell)"
+echo "BENCH_fig1.json: fig1_full ${full} ns/op; dram_cell ${post_over}% over fig1_full (pre ${pre_over}%)"
