@@ -20,7 +20,9 @@ package cache
 //
 // Lookups go through a small open-addressing index (hash of key → slot), so
 // a hit costs one or two probes regardless of TLB size. Key matches are
-// unique, so lookup strategy cannot change hit/miss outcomes.
+// unique, so lookup strategy cannot change hit/miss outcomes. A key→slot
+// memo in front of the index measured slower for the same reason as the
+// caches' line→way memo (DESIGN.md §5.6).
 type TLB struct {
 	entries int
 	keys    []uint64
@@ -34,36 +36,8 @@ type TLB struct {
 	slots    []int32
 	slotMask uint64
 
-	// memo is the TLB's direct-mapped key→slot memo, the same structure
-	// as the caches' line memo: slot (key>>6)&memoMask (the key's
-	// page-number bits index directly, so neighbouring pages never
-	// collide) remembers where a recently-hit key lived. An entry is
-	// validated against the key array itself — keys[slot] either still
-	// holds key or the entry is stale — so eviction needs no memo
-	// bookkeeping, and a validated hit skips the hash multiply and the
-	// probe chain and goes straight to the stamp refresh.
-	memo     []tlbMemoEnt
-	memoMask uint64
-
 	Hits, Misses uint64
 }
-
-// tlbMemoEnt is one TLB memo slot: the key and the slot index it was last
-// found in.
-type tlbMemoEnt struct {
-	key  uint64
-	slot int32
-	_    int32
-}
-
-// tlbMemoOn compiles the TLB's key→slot memo in or out. The memo is a pure
-// lookup accelerator (outcome-invariant, see Access), so this is strictly a
-// host-performance knob: on the benchmarked host the memo's extra
-// randomly-indexed table costs more than the one or two probe steps it
-// skips, so it ships disabled; the structure and its differential tests
-// stay, and the constant documents exactly where to re-enable it on hosts
-// with more cache headroom.
-const tlbMemoOn = false
 
 // NewTLB returns a TLB with the given number of entries.
 func NewTLB(entries int) *TLB {
@@ -71,18 +45,13 @@ func NewTLB(entries int) *TLB {
 	for tabSize < 4*entries {
 		tabSize *= 2
 	}
-	t := &TLB{
+	return &TLB{
 		entries:  entries,
 		keys:     make([]uint64, entries),
 		stamps:   make([]uint64, entries),
 		slots:    make([]int32, tabSize),
 		slotMask: uint64(tabSize - 1),
 	}
-	if tlbMemoOn {
-		t.memo = make([]tlbMemoEnt, tabSize)
-		t.memoMask = uint64(tabSize - 1)
-	}
-	return t
 }
 
 // Key builds the lookup key for an address with the given page shift.
@@ -138,20 +107,6 @@ func (t *TLB) Access(key uint64) bool {
 		t.Hits++
 		return true
 	}
-	// Memo probe: an entry still naming key's slot pins it without the
-	// hash multiply or the probe chain. The stamp refresh is identical to
-	// the indexed path's, so lookup strategy cannot change outcomes.
-	if tlbMemoOn {
-		if e := &t.memo[(key>>6)&t.memoMask]; e.key == key {
-			if si := int(e.slot); keys[si] == key {
-				t.Hits++
-				t.tick++
-				t.stamps[si] = t.tick
-				t.mru = si
-				return true
-			}
-		}
-	}
 	for i := t.slotIdx(key); ; i = (i + 1) & t.slotMask {
 		s := t.slots[i]
 		if s == 0 {
@@ -162,9 +117,6 @@ func (t *TLB) Access(key uint64) bool {
 			t.tick++
 			t.stamps[si] = t.tick
 			t.mru = si
-			if tlbMemoOn {
-				t.memo[(key>>6)&t.memoMask] = tlbMemoEnt{key: key, slot: int32(si)}
-			}
 			return true
 		}
 	}
@@ -193,9 +145,6 @@ func (t *TLB) Access(key uint64) bool {
 	t.tick++
 	t.stamps[slot] = t.tick
 	t.mru = slot
-	if tlbMemoOn {
-		t.memo[(key>>6)&t.memoMask] = tlbMemoEnt{key: key, slot: int32(slot)}
-	}
 	return false
 }
 
@@ -207,9 +156,6 @@ func (t *TLB) Reset() {
 	}
 	for i := range t.slots {
 		t.slots[i] = 0
-	}
-	for i := range t.memo {
-		t.memo[i] = tlbMemoEnt{}
 	}
 	t.tick = 0
 	t.mru = 0

@@ -126,9 +126,11 @@ type Machine struct {
 
 	// memRec is the memory system's miss-traffic observer, resolved once
 	// at construction. The default bus model observes nothing, so this is
-	// nil and the measured pricing path pays one nil check per bus
-	// transaction; warm rounds never record (their counters are discarded,
-	// and a DRAM model must see exactly the traffic the bus is billed for).
+	// nil and measured pricing pays one nil check per bus transaction.
+	// Every Record call sits under the same meas condition as the bus
+	// counter it mirrors, so unmeasured rounds record nothing and a DRAM
+	// model sees exactly the traffic the bus is billed for
+	// (TestRecorderSeesMeasuredBusTraffic).
 	memRec memsys.Recorder
 
 	// Sampler bookkeeping: the round counter, running per-class totals
@@ -321,13 +323,13 @@ func (m *Machine) sample(measuring bool) {
 
 // priceRound prices all buffered events, interleaving streams round-robin in
 // fixed quanta so that concurrent cache sharing and bus pressure are
-// represented, then drains every Env. Unmeasured rounds (warmup, setup, and
-// sampled-fidelity warming rounds) take the warm-only turn variant: the
-// cache, TLB and prefetcher state transitions are the same calls in the same
-// order, but the measured-counter plumbing — the turn-local delta array, the
-// per-event counter classification, the flush — is skipped outright instead
-// of being branched around per event, since every value it would produce is
-// discarded.
+// represented, then drains every Env. Measured and unmeasured rounds
+// (warmup, setup, and sampled-fidelity warming rounds) share one pricing
+// path, so both make the same cache, TLB and prefetcher state transitions in
+// the same order; m.measuring only decides whether counters and memory-system
+// records are kept. One path is deliberate: a warm-only copy of the kernel
+// measured within noise, and two copies of the transition order can drift
+// apart unseen (DESIGN.md §5.6).
 func (m *Machine) priceRound() {
 	cursors := m.cursors
 	remaining := 0
@@ -345,11 +347,7 @@ func (m *Machine) priceRound() {
 			if c.pos >= len(c.meta) {
 				continue
 			}
-			if meas {
-				m.priceTurn(m.streams[i], c)
-			} else {
-				m.priceTurnWarm(m.streams[i], c)
-			}
+			m.priceTurn(m.streams[i], c)
 			if c.pos >= len(c.meta) {
 				remaining--
 			}
@@ -585,108 +583,6 @@ func (m *Machine) l2Access(l2 *l2State, ctr *cpu.Counters, core int, line uint64
 					ctr.BusWrite++
 				}
 			}
-		}
-	}
-}
-
-// priceTurnWarm is priceTurn for unmeasured rounds. It performs the same
-// cache, TLB and prefetcher calls in the same order — warmup must leave the
-// hierarchy in exactly the state the per-event path would — but carries no
-// counter-delta array, no per-event class decode, and no flush, because an
-// unmeasured turn's counters are discarded wholesale. Keeping this a
-// separate function (rather than more meas branches in priceTurn) keeps the
-// measured path's register pressure unchanged and lets warmup skip the
-// 384-byte delta zeroing per turn.
-func (m *Machine) priceTurnWarm(s *Stream, c *evCursor) {
-	budget := m.quantum
-	n := len(c.meta)
-	for budget > 0 && c.pos < n {
-		i := c.pos
-		mt := c.meta[i]
-		if k := sim.MetaKind(mt); k == sim.IFetch {
-			first := mem.LineOf(c.addrs[i]) + c.lineOff
-			take := uint64(c.sizes[i])/mem.LineSize - c.lineOff
-			if take > uint64(budget) {
-				take = uint64(budget)
-				c.lineOff += take
-			} else {
-				c.pos++
-				c.lineOff = 0
-			}
-			budget -= int(take)
-			misses := s.core.l1i.AccessRun(first, take, false, m.runScratch[:0])
-			m.runScratch = misses
-			for j := range misses {
-				m.l2AccessWarm(s.l2, misses[j].Line, false)
-			}
-		} else {
-			m.priceDataWarm(s, c.addrs[i], c.sizes[i], k == sim.Write)
-			budget--
-			c.pos++
-		}
-	}
-}
-
-// priceDataWarm is priceData without the measured-counter plumbing. Every
-// state-changing call (TLB fill, L1D access/run, writeback drain, L2 access)
-// is the same call in the same order as the measured path, so warmup leaves
-// bit-identical cache state.
-func (m *Machine) priceDataWarm(s *Stream, addr mem.Addr, size uint32, write bool) {
-	first := mem.LineOf(addr)
-	nLines := mem.LinesTouched(addr, uint64(size))
-	core := s.core
-	if nLines == 1 && first == core.lastData {
-		core.tlb.Hits++
-		core.l1d.HitAgain(first, write)
-		return
-	}
-	if nLines == 1 {
-		core.lastData = first
-	} else {
-		core.lastData = 0
-	}
-
-	if key := cache.Key(uint64(addr), s.pageShiftOf(addr)); key == core.tlbKey {
-		core.tlb.Hits++
-	} else {
-		core.tlbKey = key
-		core.tlb.Access(key)
-	}
-
-	l2 := s.l2
-	if nLines == 1 {
-		hit, _, victim := s.core.l1d.Access(first, write)
-		if !hit {
-			if victim.Valid && victim.Dirty {
-				l2.c.WriteBack(victim.Line)
-			}
-			m.l2AccessWarm(l2, first, write)
-		}
-		return
-	}
-	misses := s.core.l1d.AccessRun(first, nLines, write, m.runScratch[:0])
-	m.runScratch = misses
-	for j := range misses {
-		rm := &misses[j]
-		if v := rm.Victim; v.Valid && v.Dirty {
-			l2.c.WriteBack(v.Line)
-		}
-		m.l2AccessWarm(l2, rm.Line, write)
-	}
-}
-
-// l2AccessWarm is l2Access without counter attribution: the L2 lookup, the
-// prefetcher consultation and the prefetch installs still happen — they are
-// state transitions warmup exists to produce — but hit/miss class counting
-// and bus accounting are dropped.
-func (m *Machine) l2AccessWarm(l2 *l2State, line uint64, write bool) {
-	hit, _, _ := l2.c.Access(line, write)
-	if hit {
-		return
-	}
-	if l2.pf != nil {
-		for _, pl := range l2.pf.OnMiss(line) {
-			l2.c.Install(pl, true)
 		}
 	}
 }

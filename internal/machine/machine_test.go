@@ -7,6 +7,7 @@ import (
 
 	"webmm/internal/cpu"
 	"webmm/internal/mem"
+	"webmm/internal/memsys"
 	"webmm/internal/sim"
 )
 
@@ -297,6 +298,76 @@ func TestSamplerDeltasAndNoPerturbation(t *testing.T) {
 	}
 	if total != sampled.Totals {
 		t.Fatalf("sample deltas do not sum to totals:\n%+v\n%+v", total, sampled.Totals)
+	}
+}
+
+// countingModel is a platform's memory system with a Recorder that counts
+// recorded transactions by kind.
+type countingModel struct {
+	memsys.Model
+	rec *countingRecorder
+}
+
+func (m countingModel) Recorder() memsys.Recorder { return m.rec }
+
+type countingRecorder struct{ n [memsys.Prefetch + 1]uint64 }
+
+func (r *countingRecorder) Record(line uint64, core int, kind memsys.Kind) { r.n[kind]++ }
+
+// slidingDriver writes a 24 KiB window twice per transaction, in alternating
+// one- and two-line events, then slides it to fresh memory. Next to a
+// streaming core on the same L2, the window stays dirty in L1 while the
+// stream evicts its L2 copies, so when the next window pushes it out of L1
+// its writeback misses the L2 and evicts a dirty line there.
+type slidingDriver struct {
+	env  *sim.Env
+	base mem.Addr
+}
+
+const slideWindow = 24 * mem.KiB
+
+func (d *slidingDriver) StepTransaction() bool {
+	for pass := 0; pass < 2; pass++ {
+		for off := mem.Addr(0); off < slideWindow; off += 192 {
+			d.env.Write(d.base+off, 64, sim.ClassApp)
+			d.env.Write(d.base+off+64, 128, sim.ClassApp)
+		}
+	}
+	d.base += slideWindow
+	return true
+}
+
+// TestRecorderSeesMeasuredBusTraffic pins the contract a DRAM model relies
+// on: measured and unmeasured rounds share one pricing path, and only
+// measured rounds record, one Record per billed bus transaction of the
+// matching kind. The Xeon's prefetcher makes all three kinds appear, and
+// the sliding core's writebacks reach the bus from both the one-line and
+// the multi-line pricing paths, in warmup rounds as well as measured ones.
+func TestRecorderSeesMeasuredBusTraffic(t *testing.T) {
+	p := Xeon()
+	rec := &countingRecorder{}
+	p.Mem = countingModel{Model: p.Mem, rec: rec}
+	m := New(p, 2, 8*mem.KiB, 128*mem.KiB, 42)
+	envs := []*sim.Env{m.Streams()[0].Env, m.Streams()[1].Env}
+	drivers := []Driver{
+		&slidingDriver{env: envs[0], base: envs[0].AS.Map(64*mem.MiB, 0, mem.SmallPages).Base},
+		newStreamingDriver(envs[1], 6*mem.MiB),
+	}
+	m.PriceSetup()
+	m.Run(drivers, 3, 0)
+	if rec.n != [len(rec.n)]uint64{} {
+		t.Fatalf("unmeasured pricing recorded %v (read, writeback, prefetch)", rec.n)
+	}
+	m.Run(drivers, 1, 2)
+	tot := m.Solve().Totals
+	want := [len(rec.n)]uint64{memsys.Read: tot.BusRead, memsys.Writeback: tot.BusWrite, memsys.Prefetch: tot.BusPf}
+	if rec.n != want {
+		t.Fatalf("recorded %v (read, writeback, prefetch), measured bus traffic %v", rec.n, want)
+	}
+	for kind, n := range want {
+		if n == 0 {
+			t.Fatalf("no measured traffic of kind %d: the test does not exercise it", kind)
+		}
 	}
 }
 

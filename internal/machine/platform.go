@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strings"
 
-	"webmm/internal/bus"
 	"webmm/internal/cache"
 	"webmm/internal/cpu"
 	"webmm/internal/mem"
@@ -92,7 +91,7 @@ func Xeon() Platform {
 		},
 		// Dual 1066 MT/s FSBs sustain ~8 GB/s in practice; at the
 		// 1.86 GHz core clock that is ~4.3 bytes per cycle.
-		Mem: memsys.NewBus(bus.Model{BytesPerCycle: 4.3, BytesPerTxn: mem.LineSize, MaxUtil: 0.93}),
+		Mem: memsys.NewBus(memsys.Link{BytesPerCycle: 4.3, BytesPerTxn: mem.LineSize, MaxUtil: 0.93}),
 	}.validate()
 }
 
@@ -125,7 +124,7 @@ func Niagara() Platform {
 		// at the 1.2 GHz core clock is ~8.5 bytes per cycle — still far
 		// more headroom relative to compute than the Xeon FSB, which is
 		// the paper's explanation for the milder region degradation.
-		Mem: memsys.NewBus(bus.Model{BytesPerCycle: 7.5, BytesPerTxn: mem.LineSize, MaxUtil: 0.93}),
+		Mem: memsys.NewBus(memsys.Link{BytesPerCycle: 7.5, BytesPerTxn: mem.LineSize, MaxUtil: 0.93}),
 	}.validate()
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 
-	"webmm/internal/bus"
 	"webmm/internal/mem"
 )
 
@@ -89,7 +88,7 @@ type bank struct {
 // 1.0, so the aggregate bandwidth story stays the paper's queueing model.
 type DRAM struct {
 	cfg    DRAMConfig
-	link   bus.Model
+	link   Link
 	nCores int
 	sched  scheduler
 
@@ -121,7 +120,7 @@ type DRAM struct {
 // NewDRAM builds a DRAM memory system behind the given link for nCores
 // cores. Zero-valued cfg fields take defaults; the policy name is validated
 // here so every entry point gets the registry's helpful error.
-func NewDRAM(cfg DRAMConfig, link bus.Model, nCores int) (*DRAM, error) {
+func NewDRAM(cfg DRAMConfig, link Link, nCores int) (*DRAM, error) {
 	def := defaultDRAMConfig
 	if cfg.Channels == 0 {
 		cfg.Channels = def.Channels
@@ -206,7 +205,7 @@ func isPow2(n uint64) bool { return n != 0 && n&(n-1) == 0 }
 
 func (d *DRAM) Name() string       { return "dram/" + string(d.cfg.Policy) }
 func (d *DRAM) Recorder() Recorder { return d }
-func (d *DRAM) Link() bus.Model    { return d.link }
+func (d *DRAM) Link() Link         { return d.link }
 
 // Record maps one bus transaction to its bank and row and writes it into
 // the bank's next window slot; when the window fills it is serviced. The

@@ -1,8 +1,8 @@
 // Package memsys is the memory-system seam below the cache hierarchy.
 //
 // The paper's model ends at a finite-bandwidth bus: every L2 miss is one bus
-// transaction and queueing inflates memory latency by 1/(1-u). That is the
-// right first-order story for the 2009 machines, but it cannot ask how
+// transaction and queueing inflates memory latency by 1/(1-u) (Link). That
+// is the right first-order story for the 2009 machines, but it cannot ask how
 // allocator placement interacts with DRAM row-buffer locality or how a
 // memory scheduler arbitrates between cores. This package turns the memory
 // system into a pluggable design point, the same way internal/apprt does for
@@ -19,8 +19,6 @@
 // favour some cores can stretch the others). The Bus model answers 1/(1-u),
 // 1.0 — exactly the numbers the solver used before this seam existed.
 package memsys
-
-import "webmm/internal/bus"
 
 // Kind classifies one memory-system transaction. The three kinds mirror the
 // three bus counters (BusRead/BusWrite/BusPf) so a Recorder sees exactly the
@@ -62,7 +60,7 @@ type Model interface {
 	// chip to memory. Every model has one — DRAM banks sit behind the same
 	// finite link the bus model prices — and the solver needs its MaxUtil
 	// cap for reporting.
-	Link() bus.Model
+	Link() Link
 
 	// Utilization returns the fraction of link capacity consumed by
 	// busTxns transactions over wallCycles cycles (uncapped).
@@ -86,21 +84,66 @@ type Model interface {
 	Stats() *Stats
 }
 
+// Link describes the shared front-side bus or memory interconnect whose
+// finite bandwidth is the paper's central multicore bottleneck.
+//
+// The paper (Section 1) attributes the region allocator's 8-core slowdown to
+// "hidden costs of increased bus traffics": every bus transaction moves one
+// cache line, and when the aggregate demand of all cores approaches the
+// link's transfer capacity, memory latency inflates for everyone. Link models
+// that with an open queueing approximation: the effective memory latency is
+// the unloaded latency times 1/(1-u), where u is link utilization, capped so
+// the fixed-point solve stays stable.
+type Link struct {
+	// BytesPerCycle is the transfer capacity per core-clock cycle.
+	// (Expressing bandwidth in core cycles keeps the solver unit-free:
+	// utilization = busBytes / (BytesPerCycle * wallCycles).)
+	BytesPerCycle float64
+	// BytesPerTxn is the payload of one bus transaction (a cache line).
+	BytesPerTxn float64
+	// MaxUtil caps utilization in the queueing formula; beyond it the
+	// link is saturated and latency is pinned at the cap's multiplier.
+	MaxUtil float64
+}
+
+// Utilization returns the fraction of link capacity consumed by busTxns
+// transactions over wallCycles cycles (uncapped; may exceed 1 when the
+// offered load is infeasible, which the solver resolves by stretching time).
+func (l Link) Utilization(busTxns uint64, wallCycles float64) float64 {
+	if wallCycles <= 0 {
+		return l.MaxUtil
+	}
+	return float64(busTxns) * l.BytesPerTxn / (l.BytesPerCycle * wallCycles)
+}
+
+// LatencyMultiplier converts a utilization into the factor by which queueing
+// inflates memory latency: 1/(1-u) with u capped at MaxUtil.
+func (l Link) LatencyMultiplier(util float64) float64 {
+	u := util
+	if u < 0 {
+		u = 0
+	}
+	if u > l.MaxUtil {
+		u = l.MaxUtil
+	}
+	return 1 / (1 - u)
+}
+
 // Bus adapts the paper's shared-bus model to the Model interface. It is the
 // default memory system of both platforms: no recorder, no stats, core
 // factor exactly 1 — the solver's arithmetic is bit-identical to consulting
-// bus.Model directly.
+// the Link directly.
 type Bus struct {
-	link bus.Model
+	link Link
 }
 
-// NewBus wraps a bus model as the default memory system.
-func NewBus(link bus.Model) Bus { return Bus{link: link} }
+// NewBus wraps a link as the default memory system.
+func NewBus(link Link) Bus { return Bus{link: link} }
 
-func (b Bus) Name() string        { return "bus" }
-func (b Bus) Recorder() Recorder  { return nil }
-func (b Bus) Link() bus.Model     { return b.link }
-func (b Bus) Stats() *Stats       { return nil }
+func (b Bus) Name() string                { return "bus" }
+func (b Bus) Recorder() Recorder          { return nil }
+func (b Bus) Link() Link                  { return b.link }
+func (b Bus) Stats() *Stats               { return nil }
 func (b Bus) CoreFactor(core int) float64 { return 1 }
 
 func (b Bus) Utilization(busTxns uint64, wallCycles float64) float64 {

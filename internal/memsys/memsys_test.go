@@ -5,17 +5,73 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"webmm/internal/bus"
+	"testing/quick"
 )
 
-func testLink() bus.Model {
-	return bus.Model{BytesPerCycle: 4.3, BytesPerTxn: 64, MaxUtil: 0.93}
+func testLink() Link {
+	return Link{BytesPerCycle: 4.3, BytesPerTxn: 64, MaxUtil: 0.93}
+}
+
+func TestUtilizationScalesWithTraffic(t *testing.T) {
+	l := testLink()
+	u1 := l.Utilization(1000, 1e6)
+	u2 := l.Utilization(2000, 1e6)
+	if math.Abs(u2-2*u1) > 1e-12 {
+		t.Fatalf("utilization not linear in traffic: %g vs %g", u1, u2)
+	}
+	u3 := l.Utilization(1000, 2e6)
+	if math.Abs(u3-u1/2) > 1e-12 {
+		t.Fatalf("utilization not inverse in time: %g vs %g", u1, u3)
+	}
+}
+
+func TestLatencyMultiplierMonotone(t *testing.T) {
+	l := testLink()
+	prev := 0.0
+	for u := 0.0; u <= 1.5; u += 0.01 {
+		mult := l.LatencyMultiplier(u)
+		if mult < prev {
+			t.Fatalf("multiplier decreased at u=%.2f: %g < %g", u, mult, prev)
+		}
+		prev = mult
+	}
+}
+
+func TestLatencyMultiplierBounds(t *testing.T) {
+	l := testLink()
+	if got := l.LatencyMultiplier(0); got != 1 {
+		t.Errorf("idle link multiplier = %g, want 1", got)
+	}
+	capped := l.LatencyMultiplier(5.0)
+	want := 1 / (1 - l.MaxUtil)
+	if math.Abs(capped-want) > 1e-9 {
+		t.Errorf("saturated multiplier = %g, want %g", capped, want)
+	}
+	if got := l.LatencyMultiplier(-1); got != 1 {
+		t.Errorf("negative utilization multiplier = %g, want 1", got)
+	}
+}
+
+func TestZeroWallClockSaturates(t *testing.T) {
+	l := testLink()
+	if u := l.Utilization(100, 0); u != l.MaxUtil {
+		t.Errorf("zero-time utilization = %g, want MaxUtil", u)
+	}
+}
+
+func TestMultiplierAlwaysAtLeastOneProperty(t *testing.T) {
+	l := testLink()
+	f := func(txns uint32, cycles uint32) bool {
+		u := l.Utilization(uint64(txns), float64(cycles))
+		return l.LatencyMultiplier(u) >= 1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
 }
 
 // The Bus adapter must be arithmetically indistinguishable from consulting
-// the bus model directly — that is the default path's bit-identical
-// contract.
+// the link directly — that is the default path's bit-identical contract.
 func TestBusAdapterMatchesLink(t *testing.T) {
 	link := testLink()
 	b := NewBus(link)

@@ -1,9 +1,6 @@
 package memsys
 
-import (
-	"webmm/internal/bus"
-	"webmm/internal/mem"
-)
+import "webmm/internal/mem"
 
 // refDRAM is the window replay DRAM first shipped with, kept as the
 // differential oracle for the slot-and-bitmask replay: every pending
@@ -42,7 +39,7 @@ type refBank struct {
 // newRefDRAM takes its configuration, defaults applied, from NewDRAM;
 // callers pass configurations NewDRAM accepts.
 func newRefDRAM(cfg DRAMConfig, nCores int) *refDRAM {
-	d, err := NewDRAM(cfg, bus.Model{}, nCores)
+	d, err := NewDRAM(cfg, Link{}, nCores)
 	if err != nil {
 		panic(err)
 	}

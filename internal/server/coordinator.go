@@ -7,8 +7,9 @@
 // call per cell fleet-wide, not one per client. Dispatch adds two
 // reliability moves on top:
 //
-//   - failover: a worker that cannot be reached (or turns the request away)
-//     costs one immediate retry on the next shard, not a failed cell;
+//   - failover: a worker that cannot be reached, turns the request away, or
+//     answers for a different cell costs one immediate retry on the next
+//     shard, not a failed cell;
 //   - hedging: a cell that exceeds HedgeAfter × the observed p50 cell time
 //     (the same webmm_cell_seconds histogram the Retry-After estimate uses)
 //     is launched on a second shard and the first answer wins. The loser's
@@ -171,7 +172,7 @@ func (f *fleet) exec(ctx context.Context, k runnerKey, c experiments.Cell) (expe
 		met.Counter("webmm_fleet_dispatch_total",
 			"cells dispatched to fleet workers", telemetry.Labels{"worker": f.workers[w]}).Inc()
 		go func() {
-			res, err := f.call(ctx, w, body)
+			res, err := f.call(ctx, w, body, c)
 			ch <- answer{res, err, w}
 		}()
 	}
@@ -231,11 +232,12 @@ func (f *fleet) exec(ctx context.Context, k runnerKey, c experiments.Cell) (expe
 	}
 }
 
-// call executes one cell on one worker and decodes its NDJSON stream down
-// to the final "result" event. Non-200 statuses and truncated streams are
-// transport errors (the caller may fail over or hedge); a decoded result
-// with Failed set comes back as a remoteFailure.
-func (f *fleet) call(ctx context.Context, w int, body []byte) (experiments.CellResult, error) {
+// call executes cell c on one worker and decodes its NDJSON stream down to
+// the final "result" event. Non-200 statuses, truncated streams and a result
+// for any cell other than c are transport errors (the caller may fail over
+// or hedge, and never memoizes or caches them); a decoded result for c with
+// Failed set comes back as a remoteFailure.
+func (f *fleet) call(ctx context.Context, w int, body []byte, c experiments.Cell) (experiments.CellResult, error) {
 	worker := f.workers[w]
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/run", bytes.NewReader(body))
 	if err != nil {
@@ -271,6 +273,10 @@ func (f *fleet) call(ctx context.Context, w int, body []byte) (experiments.CellR
 			continue
 		}
 		res := *line.Result
+		if res.Cell != c {
+			return experiments.CellResult{}, fmt.Errorf("worker %s: result for cell %s, dispatched %s",
+				worker, res.Cell.Key(), c.Key())
+		}
 		if res.Failed {
 			msg := line.Error
 			if msg == "" {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -293,8 +294,31 @@ func TestFleetCoalesces(t *testing.T) {
 	}
 }
 
-// TestFleetFailsOverDeadShard: a shard that cannot be reached costs one
-// transparent retry on the next shard, not a failed cell.
+// lyingShard fronts a real worker handler but rewrites every dispatched
+// cell to a neighbouring one (one more core) before forwarding, so the
+// worker answers — correctly — for a cell the coordinator did not ask for.
+func lyingShard(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/run" {
+			var req runRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.CellSpec == nil {
+				http.Error(rw, "lying shard: want a cell dispatch", http.StatusBadRequest)
+				return
+			}
+			other := *req.CellSpec
+			other.Cores++
+			req.CellSpec = &other
+			body, _ := json.Marshal(req)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			r.ContentLength = int64(len(body))
+		}
+		h.ServeHTTP(rw, r)
+	})
+}
+
+// TestFleetFailsOverDeadShard: a home shard that cannot be reached, or that
+// answers for a different cell than it was sent, costs one transparent retry
+// on the next shard, not a failed cell — and never a wrong result.
 func TestFleetFailsOverDeadShard(t *testing.T) {
 	w, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim()})
 	if err != nil {
@@ -312,91 +336,128 @@ func TestFleetFailsOverDeadShard(t *testing.T) {
 	deadURL := "http://" + ln.Addr().String()
 	ln.Close()
 
-	// pick depends only on the cell key and the worker count, so place the
-	// dead shard at the cell's home index: the dispatch MUST fail over to
-	// survive.
+	var lies atomic.Int64
+	lying := lyingShard(w.Handler())
+	liar := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/run" {
+			lies.Add(1)
+		}
+		lying.ServeHTTP(rw, r)
+	}))
+	defer liar.Close()
+
 	cell := experiments.Cell{Platform: "xeon", Alloc: "ddmalloc", Workload: "phpBB", Cores: 1}
-	home := (&fleet{workers: make([]string, 2)}).pick(cell)
-	workers := make([]string, 2)
-	workers[home], workers[1-home] = deadURL, ts.URL
+	want := experiments.NewRunner(testSim()).Run(cell)
+	for _, tc := range []struct {
+		name, homeURL string
+	}{
+		{"dead", deadURL},
+		{"wrong-cell", liar.URL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// pick depends only on the cell key and the worker count, so
+			// place the bad shard at the cell's home index: the dispatch
+			// MUST fail over to get the right answer.
+			home := (&fleet{workers: make([]string, 2)}).pick(cell)
+			workers := make([]string, 2)
+			workers[home], workers[1-home] = tc.homeURL, ts.URL
 
-	coord, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim(),
-		Workers: workers, HedgeAfter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	tsc := httptest.NewServer(coord.Handler())
-	defer tsc.Close()
+			coord, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim(),
+				Workers: workers, HedgeAfter: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			tsc := httptest.NewServer(coord.Handler())
+			defer tsc.Close()
 
-	if coord.fleet.pick(cell) != home || coord.fleet.workers[home] != deadURL {
-		t.Fatal("test setup: home shard is not the dead one")
+			if coord.fleet.pick(cell) != home || coord.fleet.workers[home] != tc.homeURL {
+				t.Fatal("test setup: home shard is not the bad one")
+			}
+			spec, _ := json.Marshal(map[string]any{"cell": cell})
+			code, lines := postRun(t, tsc.URL, string(spec))
+			if code != http.StatusOK {
+				t.Fatalf("status %d", code)
+			}
+			got := resultOf(t, lines)
+			if got.Failed {
+				t.Fatal("cell failed despite a live, honest second shard")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("failed-over result differs from direct run")
+			}
+			if n := scrapeMetric(t, tsc.URL, "webmm_fleet_hedge_wins_total"); n != 1 {
+				t.Fatalf("webmm_fleet_hedge_wins_total = %v, want 1 (answered by the second shard)", n)
+			}
+		})
 	}
-	spec, _ := json.Marshal(map[string]any{"cell": cell})
-	code, lines := postRun(t, tsc.URL, string(spec))
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	got := resultOf(t, lines)
-	if got.Failed {
-		t.Fatal("cell failed despite a live second shard")
-	}
-	direct := experiments.NewRunner(testSim())
-	if want := direct.Run(cell); !reflect.DeepEqual(got, want) {
-		t.Fatal("failed-over result differs from direct run")
+	if n := lies.Load(); n != 1 {
+		t.Fatalf("lying shard saw %d dispatches, want 1", n)
 	}
 }
 
-// TestFleetTransientFailureNotPoisoned: when every shard is unreachable the
-// cell fails with a transient verdict that is NOT memoized — once shards
-// return, the same request succeeds without restarting the coordinator.
+// TestFleetTransientFailureNotPoisoned: when no shard gives a usable answer
+// — every shard is unreachable, or the only one answers for a different
+// cell — the cell fails with a transient verdict that is NOT memoized: once
+// the shard recovers, the same request succeeds without restarting the
+// coordinator.
 func TestFleetTransientFailureNotPoisoned(t *testing.T) {
-	w, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	var down atomic.Bool
-	down.Store(true)
-	h := w.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if down.Load() && r.URL.Path == "/run" {
-			http.Error(rw, "shard down", http.StatusBadGateway)
-			return
-		}
-		h.ServeHTTP(rw, r)
-	}))
-	defer ts.Close()
+	for _, mode := range []string{"down", "lying"} {
+		t.Run(mode, func(t *testing.T) {
+			w, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			var faulty atomic.Bool
+			faulty.Store(true)
+			h := w.Handler()
+			liar := lyingShard(h)
+			ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				switch {
+				case !faulty.Load():
+					h.ServeHTTP(rw, r)
+				case mode == "lying":
+					liar.ServeHTTP(rw, r)
+				case r.URL.Path == "/run":
+					http.Error(rw, "shard down", http.StatusBadGateway)
+				default:
+					h.ServeHTTP(rw, r)
+				}
+			}))
+			defer ts.Close()
 
-	coord, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim(),
-		Workers: []string{ts.URL}, HedgeAfter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	tsc := httptest.NewServer(coord.Handler())
-	defer tsc.Close()
+			coord, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim(),
+				Workers: []string{ts.URL}, HedgeAfter: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			tsc := httptest.NewServer(coord.Handler())
+			defer tsc.Close()
 
-	body := `{"platform":"xeon","alloc":"ddmalloc","workload":"phpBB","cores":1}`
-	code, lines := postRun(t, tsc.URL, body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if res := resultOf(t, lines); !res.Failed {
-		t.Fatal("cell succeeded with every shard down")
-	}
+			body := `{"platform":"xeon","alloc":"ddmalloc","workload":"phpBB","cores":1}`
+			code, lines := postRun(t, tsc.URL, body)
+			if code != http.StatusOK {
+				t.Fatalf("status %d", code)
+			}
+			if res := resultOf(t, lines); !res.Failed {
+				t.Fatalf("cell succeeded with no usable shard (%s)", mode)
+			}
 
-	down.Store(false)
-	code, lines = postRun(t, tsc.URL, body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d after recovery", code)
-	}
-	got := resultOf(t, lines)
-	if got.Failed {
-		t.Fatal("transient shard outage was memoized: cell still failing after recovery")
-	}
-	direct := experiments.NewRunner(testSim())
-	if want := direct.Run(experiments.Cell{Platform: "xeon", Alloc: "ddmalloc", Workload: "phpBB", Cores: 1}); !reflect.DeepEqual(got, want) {
-		t.Fatal("recovered result differs from direct run")
+			faulty.Store(false)
+			code, lines = postRun(t, tsc.URL, body)
+			if code != http.StatusOK {
+				t.Fatalf("status %d after recovery", code)
+			}
+			got := resultOf(t, lines)
+			if got.Failed {
+				t.Fatalf("transient %s shard was memoized: cell still failing after recovery", mode)
+			}
+			direct := experiments.NewRunner(testSim())
+			if want := direct.Run(experiments.Cell{Platform: "xeon", Alloc: "ddmalloc", Workload: "phpBB", Cores: 1}); !reflect.DeepEqual(got, want) {
+				t.Fatal("recovered result differs from direct run")
+			}
+		})
 	}
 }
