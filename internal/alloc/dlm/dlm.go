@@ -59,7 +59,9 @@ const (
 	costConsolidate = 40 // fixed part; per-chunk costs add up
 	costHuge        = 70
 
-	codeSize = 24 * mem.KiB
+	// CodeSize is the allocator's simulated code footprint. The
+	// allocator registry reports it without constructing an allocator.
+	CodeSize = 24 * mem.KiB
 )
 
 type chunk struct {
@@ -159,7 +161,7 @@ func (a *Allocator) binHeadAddr(i int) mem.Addr { return a.binArr + mem.Addr(i*8
 func (a *Allocator) Name() string { return "glibc" }
 
 // CodeSize implements heap.Allocator.
-func (a *Allocator) CodeSize() uint64 { return codeSize }
+func (a *Allocator) CodeSize() uint64 { return CodeSize }
 
 // SupportsFree implements heap.Allocator.
 func (a *Allocator) SupportsFree() bool { return true }

@@ -40,7 +40,9 @@ const (
 	costNewSuper   = 90
 	costLarge      = 70
 
-	codeSize = 14 * mem.KiB
+	// CodeSize is the allocator's simulated code footprint. The
+	// allocator registry reports it without constructing an allocator.
+	CodeSize = 14 * mem.KiB
 )
 
 type superblock struct {
@@ -87,7 +89,7 @@ func New(env *sim.Env) *Allocator {
 func (a *Allocator) Name() string { return "Hoard" }
 
 // CodeSize implements heap.Allocator.
-func (a *Allocator) CodeSize() uint64 { return codeSize }
+func (a *Allocator) CodeSize() uint64 { return CodeSize }
 
 // SupportsFree implements heap.Allocator.
 func (a *Allocator) SupportsFree() bool { return true }

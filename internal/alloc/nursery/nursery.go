@@ -33,12 +33,13 @@ import (
 )
 
 const (
-	costAlloc    = 6   // bump + class-free allocation
-	costGCFixed  = 400 // collection setup/scan bookkeeping
-	costPerCopy  = 24  // per surviving object: copy loop overhead
-	costDeath    = 2   // death note (reference drop)
-	oldGenChunk  = 4 * mem.MiB
-	codeSize     = 6 * mem.KiB
+	costAlloc   = 6   // bump + class-free allocation
+	costGCFixed = 400 // collection setup/scan bookkeeping
+	costPerCopy = 24  // per surviving object: copy loop overhead
+	costDeath   = 2   // death note (reference drop)
+	oldGenChunk = 4 * mem.MiB
+	// CodeSize is the collector's simulated code footprint.
+	CodeSize = 6 * mem.KiB
 )
 
 // Allocator is the copying-nursery model. It implements heap.Allocator,
@@ -97,7 +98,7 @@ func (a *Allocator) addOldChunk() bool {
 func (a *Allocator) Name() string { return "gc-nursery" }
 
 // CodeSize implements heap.Allocator.
-func (a *Allocator) CodeSize() uint64 { return codeSize }
+func (a *Allocator) CodeSize() uint64 { return CodeSize }
 
 // SupportsFree implements heap.Allocator: Free is accepted (a death note)
 // but reclaims nothing until the next collection.

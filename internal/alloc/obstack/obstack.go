@@ -27,7 +27,9 @@ const (
 	costMalloc   = 8
 	costNewChunk = 60
 	costFreeAll  = 25 // plus per-chunk walking
-	codeSize     = 2 * mem.KiB
+	// CodeSize is the allocator's simulated code footprint. The
+	// allocator registry reports it without constructing an allocator.
+	CodeSize = 2 * mem.KiB
 )
 
 // Allocator is the obstack model.
@@ -77,7 +79,7 @@ func (a *Allocator) addChunk() bool {
 func (a *Allocator) Name() string { return "obstack" }
 
 // CodeSize implements heap.Allocator.
-func (a *Allocator) CodeSize() uint64 { return codeSize }
+func (a *Allocator) CodeSize() uint64 { return CodeSize }
 
 // SupportsFree implements heap.Allocator.
 func (a *Allocator) SupportsFree() bool { return false }

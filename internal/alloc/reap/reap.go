@@ -43,14 +43,16 @@ const (
 
 	numBins = 64 // size-binned free lists: 8-byte classes then log2
 
-	costBump     = 7  // bump-mode allocation
-	costBinHit   = 22 // free-list allocation (search + unlink)
-	costSplit    = 18
-	costFree     = 26 // Lea-style free: header + bin insertion
-	costBinHop   = 6
-	costFreeAll  = 30
-	costHuge     = 60
-	codeSize     = 18 * mem.KiB
+	costBump    = 7  // bump-mode allocation
+	costBinHit  = 22 // free-list allocation (search + unlink)
+	costSplit   = 18
+	costFree    = 26 // Lea-style free: header + bin insertion
+	costBinHop  = 6
+	costFreeAll = 30
+	costHuge    = 60
+	// CodeSize is the allocator's simulated code footprint. The
+	// allocator registry reports it without constructing an allocator.
+	CodeSize = 18 * mem.KiB
 )
 
 type object struct {
@@ -67,11 +69,11 @@ type Allocator struct {
 
 	// bins hold freed objects by size class; binArr is the simulated
 	// address of the bin-head array.
-	bins    [numBins][]object
-	binArr  mem.Addr
-	binned  int
-	byAddr  map[mem.Addr]uint64 // live payload -> rounded size
-	huge    map[mem.Addr]mem.Mapping
+	bins   [numBins][]object
+	binArr mem.Addr
+	binned int
+	byAddr map[mem.Addr]uint64 // live payload -> rounded size
+	huge   map[mem.Addr]mem.Mapping
 
 	txnAllocated uint64
 	peakTxn      uint64
@@ -122,7 +124,7 @@ func (a *Allocator) binHeadAddr(i int) mem.Addr { return a.binArr + mem.Addr(i*8
 func (a *Allocator) Name() string { return "reap" }
 
 // CodeSize implements heap.Allocator.
-func (a *Allocator) CodeSize() uint64 { return codeSize }
+func (a *Allocator) CodeSize() uint64 { return CodeSize }
 
 // SupportsFree implements heap.Allocator.
 func (a *Allocator) SupportsFree() bool { return true }

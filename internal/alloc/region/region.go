@@ -27,7 +27,9 @@ const (
 
 	costMalloc  = 5  // round + bump
 	costFreeAll = 18 // reset pointer
-	codeSize    = 1 * mem.KiB
+	// CodeSize is the allocator's simulated code footprint. The
+	// allocator registry reports it without constructing an allocator.
+	CodeSize = 1 * mem.KiB
 )
 
 // Allocator is the region-based allocator.
@@ -74,7 +76,7 @@ func (a *Allocator) addChunk() bool {
 func (a *Allocator) Name() string { return "region-based" }
 
 // CodeSize implements heap.Allocator.
-func (a *Allocator) CodeSize() uint64 { return codeSize }
+func (a *Allocator) CodeSize() uint64 { return CodeSize }
 
 // SupportsFree implements heap.Allocator: regions have no per-object free.
 func (a *Allocator) SupportsFree() bool { return false }

@@ -45,7 +45,9 @@ const (
 	costSpanOp     = 45
 	costLarge      = 70
 
-	codeSize = 16 * mem.KiB
+	// CodeSize is the allocator's simulated code footprint. The
+	// allocator registry reports it without constructing an allocator.
+	CodeSize = 16 * mem.KiB
 )
 
 type span struct {
@@ -89,7 +91,7 @@ func New(env *sim.Env) *Allocator {
 func (a *Allocator) Name() string { return "TCmalloc" }
 
 // CodeSize implements heap.Allocator.
-func (a *Allocator) CodeSize() uint64 { return codeSize }
+func (a *Allocator) CodeSize() uint64 { return CodeSize }
 
 // SupportsFree implements heap.Allocator.
 func (a *Allocator) SupportsFree() bool { return true }

@@ -70,7 +70,9 @@ const (
 	costPerSegReset = 24
 	costHuge        = 50
 
-	codeSize = 20 * mem.KiB
+	// CodeSize is the allocator's simulated code footprint. The
+	// allocator registry reports it without constructing an allocator.
+	CodeSize = 20 * mem.KiB
 )
 
 // block mirrors one boundary-tagged block. The simulated header lives at
@@ -266,7 +268,7 @@ func (a *Allocator) carveWild(trueSize uint64) *block {
 func (a *Allocator) Name() string { return "default" }
 
 // CodeSize implements heap.Allocator.
-func (a *Allocator) CodeSize() uint64 { return codeSize }
+func (a *Allocator) CodeSize() uint64 { return CodeSize }
 
 // SupportsFree implements heap.Allocator.
 func (a *Allocator) SupportsFree() bool { return true }

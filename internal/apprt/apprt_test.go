@@ -18,20 +18,39 @@ func runPHPTxns(t *testing.T, r *PHPRuntime, env *sim.Env, n int) {
 	}
 }
 
+// TestNewAllocatorRegistry: every registered allocator constructs, and the
+// registry's static facts — read by AllocCodeSize and RuntimeAllocator
+// without constructing anything — equal what the constructed allocator
+// reports.
 func TestNewAllocatorRegistry(t *testing.T) {
-	for _, name := range AllocatorNames() {
+	for _, d := range Allocators() {
 		env := alloctest.NewEnv(1)
-		a, err := NewAllocator(name, env, AllocOptions{})
+		a, err := NewAllocator(d.Name, env, AllocOptions{})
 		if err != nil {
-			t.Errorf("NewAllocator(%q): %v", name, err)
+			t.Errorf("NewAllocator(%q): %v", d.Name, err)
 			continue
 		}
 		if p := a.Malloc(64); p == 0 {
-			t.Errorf("allocator %q returned null", name)
+			t.Errorf("allocator %q returned null", d.Name)
+		}
+		if d.CodeSize == 0 || d.CodeSize != a.CodeSize() {
+			t.Errorf("%s: registry CodeSize %d, constructed allocator %d", d.Name, d.CodeSize, a.CodeSize())
+		}
+		if got, err := AllocCodeSize(d.Name); err != nil || got != a.CodeSize() {
+			t.Errorf("AllocCodeSize(%q) = %d, %v; want %d", d.Name, got, err, a.CodeSize())
+		}
+		if d.FreeAll != a.SupportsFreeAll() {
+			t.Errorf("%s: registry FreeAll %v, constructed allocator %v", d.Name, d.FreeAll, a.SupportsFreeAll())
+		}
+		if _, err := RuntimeAllocator(d.Name, false); (err == nil) != a.SupportsFreeAll() {
+			t.Errorf("RuntimeAllocator(%q, php): err %v, but SupportsFreeAll is %v", d.Name, err, a.SupportsFreeAll())
 		}
 	}
 	if _, err := NewAllocator("jemalloc", alloctest.NewEnv(1), AllocOptions{}); err == nil {
 		t.Error("unknown allocator accepted")
+	}
+	if _, err := AllocCodeSize("jemalloc"); err == nil {
+		t.Error("AllocCodeSize accepted an unknown allocator")
 	}
 }
 

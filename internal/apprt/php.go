@@ -1,8 +1,6 @@
 package apprt
 
 import (
-	"fmt"
-
 	"webmm/internal/heap"
 	"webmm/internal/sim"
 	"webmm/internal/workload"
@@ -27,13 +25,11 @@ type PHPRuntime struct {
 
 // NewPHP builds a PHP runtime process using the named allocator.
 func NewPHP(env *sim.Env, allocName string, prof workload.Profile, scale int, opts AllocOptions) (*PHPRuntime, error) {
-	alloc, err := NewAllocator(allocName, env, opts)
+	d, err := RuntimeAllocator(allocName, false)
 	if err != nil {
 		return nil, err
 	}
-	if !alloc.SupportsFreeAll() {
-		return nil, fmt.Errorf("apprt: allocator %q lacks freeAll; the PHP runtime requires bulk free", allocName)
-	}
+	alloc := d.New(env, opts)
 	r := &PHPRuntime{
 		env:   env,
 		alloc: alloc,

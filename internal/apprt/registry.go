@@ -17,7 +17,6 @@ import (
 	"webmm/internal/alloc/zend"
 	"webmm/internal/core"
 	"webmm/internal/heap"
-	"webmm/internal/mem"
 	"webmm/internal/sim"
 )
 
@@ -33,7 +32,8 @@ type AllocOptions struct {
 
 // AllocatorDesc describes one allocator of the study: its report name (used
 // by the CLI, the figures, and the public API), which study it belongs to,
-// a one-line description, and its constructor.
+// a one-line description, the static facts callers need before any
+// allocator exists, and its constructor.
 type AllocatorDesc struct {
 	Name string
 	// Study is "php" for the PHP comparison (Figures 1, 5-9), "ruby" for
@@ -41,24 +41,30 @@ type AllocatorDesc struct {
 	// available to cell runs but not part of a headline figure.
 	Study string
 	Doc   string
-	New   func(env *sim.Env, opts AllocOptions) heap.Allocator
+	// CodeSize is the allocator's simulated code footprint (its package's
+	// CodeSize constant), which sizes a machine's code layout.
+	CodeSize uint64
+	// FreeAll reports whether the allocator supports bulk freeAll, which
+	// the PHP runtime requires.
+	FreeAll bool
+	New     func(env *sim.Env, opts AllocOptions) heap.Allocator
 }
 
 // allocators is the single source of truth for allocator selection,
 // PHP-study allocators first (report order).
 var allocators = []AllocatorDesc{
 	{
-		Name: "default", Study: "php",
+		Name: "default", Study: "php", CodeSize: zend.CodeSize, FreeAll: true,
 		Doc: "PHP's Zend-style per-request allocator (free lists, freeAll at request end)",
 		New: func(env *sim.Env, _ AllocOptions) heap.Allocator { return zend.New(env) },
 	},
 	{
-		Name: "region", Study: "php",
+		Name: "region", Study: "php", CodeSize: region.CodeSize, FreeAll: true,
 		Doc: "region-based bump allocation; memory reclaimed wholesale per request",
 		New: func(env *sim.Env, _ AllocOptions) heap.Allocator { return region.New(env) },
 	},
 	{
-		Name: "ddmalloc", Study: "php",
+		Name: "ddmalloc", Study: "php", CodeSize: core.CodeSize, FreeAll: true,
 		Doc: "the paper's DDmalloc: size-class free lists with the locality optimizations of §3.3",
 		New: func(env *sim.Env, opts AllocOptions) heap.Allocator {
 			ddOpts := core.DefaultOptions()
@@ -68,27 +74,27 @@ var allocators = []AllocatorDesc{
 		},
 	},
 	{
-		Name: "obstack", Study: "extra",
+		Name: "obstack", Study: "extra", CodeSize: obstack.CodeSize, FreeAll: true,
 		Doc: "GNU obstack-style stack allocator (LIFO frees only)",
 		New: func(env *sim.Env, _ AllocOptions) heap.Allocator { return obstack.New(env, 0) },
 	},
 	{
-		Name: "reap", Study: "extra",
+		Name: "reap", Study: "extra", CodeSize: reap.CodeSize, FreeAll: true,
 		Doc: "Reap-style hybrid of region allocation with individual frees",
 		New: func(env *sim.Env, _ AllocOptions) heap.Allocator { return reap.New(env) },
 	},
 	{
-		Name: "glibc", Study: "ruby",
+		Name: "glibc", Study: "ruby", CodeSize: dlm.CodeSize,
 		Doc: "dlmalloc-style general-purpose allocator (glibc's malloc lineage)",
 		New: func(env *sim.Env, _ AllocOptions) heap.Allocator { return dlm.New(env) },
 	},
 	{
-		Name: "hoard", Study: "ruby",
+		Name: "hoard", Study: "ruby", CodeSize: hoard.CodeSize,
 		Doc: "Hoard-style allocator with per-processor heaps",
 		New: func(env *sim.Env, _ AllocOptions) heap.Allocator { return hoard.New(env) },
 	},
 	{
-		Name: "tcmalloc", Study: "ruby",
+		Name: "tcmalloc", Study: "ruby", CodeSize: tcm.CodeSize,
 		Doc: "thread-caching malloc with central spans and per-thread free lists",
 		New: func(env *sim.Env, _ AllocOptions) heap.Allocator { return tcm.New(env) },
 	},
@@ -124,15 +130,32 @@ func AllocatorNames() []string {
 
 // AllocCodeSize returns the simulated code footprint of the named
 // allocator, used to build the machine's code layout before any runtime
-// exists.
+// exists. It is a registry lookup: nothing is constructed.
 func AllocCodeSize(name string) (uint64, error) {
-	as := mem.NewAddressSpace(0, 1<<36, mem.LargePageShiftXeon)
-	env := sim.NewEnv(as, sim.NewCodeLayout(4096, 4096), 0)
-	a, err := NewAllocator(name, env, AllocOptions{})
+	d, err := AllocatorByName(name)
 	if err != nil {
 		return 0, err
 	}
-	return a.CodeSize(), nil
+	return d.CodeSize, nil
+}
+
+// RuntimeAllocator resolves the named allocator for a PHP (ruby false) or
+// Ruby runtime from registry facts alone, rejecting a pairing the runtime
+// cannot run: the PHP runtime reclaims every request with freeAll, and the
+// Ruby runtime runs only the Ruby study's allocators. NewPHP, NewRuby and
+// the server's single-cell admission all apply it.
+func RuntimeAllocator(name string, ruby bool) (AllocatorDesc, error) {
+	d, err := AllocatorByName(name)
+	if err != nil {
+		return AllocatorDesc{}, err
+	}
+	if ruby && !isSupportedRubyAlloc(name) {
+		return AllocatorDesc{}, fmt.Errorf("apprt: allocator %q is not in the Ruby study", name)
+	}
+	if !ruby && !d.FreeAll {
+		return AllocatorDesc{}, fmt.Errorf("apprt: allocator %q lacks freeAll; the PHP runtime requires bulk free", name)
+	}
+	return d, nil
 }
 
 // NewAllocator constructs an allocator by report name.

@@ -1,8 +1,6 @@
 package apprt
 
 import (
-	"fmt"
-
 	"webmm/internal/heap"
 	"webmm/internal/sim"
 	"webmm/internal/workload"
@@ -32,12 +30,12 @@ const (
 // eventually freed per-object, some live across transactions, and the whole
 // process restarts every RestartEvery transactions to shed fragmentation.
 type RubyRuntime struct {
-	env       *sim.Env
-	alloc     heap.Allocator
-	allocName string
-	opts      AllocOptions
-	gen       *workload.Generator
-	scale     int
+	env   *sim.Env
+	alloc heap.Allocator
+	desc  AllocatorDesc
+	opts  AllocOptions
+	gen   *workload.Generator
+	scale int
 
 	// RestartEvery is the process lifetime in transactions (Figure 12's
 	// sweep parameter); 0 disables restarts.
@@ -62,20 +60,18 @@ type RubyRuntime struct {
 // DDmalloc is exercised here exactly as the paper does, *without* its
 // freeAll advantage).
 func NewRuby(env *sim.Env, allocName string, prof workload.Profile, scale, restartEvery int, opts AllocOptions) (*RubyRuntime, error) {
-	if !isSupportedRubyAlloc(allocName) {
-		return nil, fmt.Errorf("apprt: allocator %q is not in the Ruby study", allocName)
-	}
-	alloc, err := NewAllocator(allocName, env, opts)
+	d, err := RuntimeAllocator(allocName, true)
 	if err != nil {
 		return nil, err
 	}
+	alloc := d.New(env, opts)
 	r := &RubyRuntime{
-		env:       env,
-		alloc:     alloc,
-		allocName: allocName,
-		opts:      opts,
-		gen:       workload.NewGenerator(env, alloc, prof, scale),
-		scale:     scale,
+		env:   env,
+		alloc: alloc,
+		desc:  d,
+		opts:  opts,
+		gen:   workload.NewGenerator(env, alloc, prof, scale),
+		scale: scale,
 
 		RestartEvery: restartEvery,
 	}
@@ -140,14 +136,10 @@ func (r *RubyRuntime) restart() {
 	r.txnsSinceStart = 0
 	r.env.Instr(r.RestartCost, sim.ClassOS)
 	r.gen.RestartProcess()
-	alloc, err := NewAllocator(r.allocName, r.env, r.opts)
-	if err != nil {
-		// Construction succeeded before, so this only fires when the
-		// address space itself is exhausted (tiny budget, injected
-		// fault). The process genuinely cannot come back; the panic is
-		// recovered into a CellError by the experiment runner.
-		panic(err)
-	}
+	// Construction panics when the address space itself is exhausted
+	// (tiny budget, injected fault): the process genuinely cannot come
+	// back, and the experiment runner recovers the panic into a CellError.
+	alloc := r.desc.New(r.env, r.opts)
 	r.alloc = alloc
 	r.gen.SetAllocator(alloc)
 	r.alloc.ResetPeak()

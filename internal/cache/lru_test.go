@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // This file is the regression suite for the LRU replacement-state redesign.
 //
@@ -314,29 +317,34 @@ func (t *refTLB) Access(key uint64) bool {
 
 // TestTLBMatchesReferenceModelAcrossWrapBoundary: the list-based TLB must
 // report the exact hit/miss sequence of the stamp model for a churning key
-// stream, independent of accumulated access count.
+// stream, independent of accumulated access count, at the test size and at
+// every size the platforms use (32 after scaling, 64 on Niagara, 256 on
+// Xeon).
 func TestTLBMatchesReferenceModelAcrossWrapBoundary(t *testing.T) {
-	const entries = 16
-	tlb := NewTLB(entries)
-	ref := &refTLB{
-		keys:  make([]uint64, entries),
-		stamp: make([]uint64, entries),
-		tick:  1<<32 - 2000,
-	}
-	rng := uint64(0xDEADBEEFCAFE)
-	for i := 0; i < 50000; i++ {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		// Skewed universe of 48 keys over 16 entries: plenty of hits on
-		// hot keys, constant eviction pressure from the tail.
-		key := Key(rng%48*4096, 12)
-		if got, want := tlb.Access(key), ref.Access(key); got != want {
-			t.Fatalf("access %d (key %#x): got hit=%v want %v", i, key, got, want)
-		}
-	}
-	if tlb.Hits != ref.hits || tlb.Misses != ref.misses {
-		t.Fatalf("counters diverge: got %d/%d want %d/%d", tlb.Hits, tlb.Misses, ref.hits, ref.misses)
+	for _, entries := range []int{16, 32, 64, 256} {
+		t.Run(fmt.Sprintf("entries=%d", entries), func(t *testing.T) {
+			tlb := NewTLB(entries)
+			ref := &refTLB{
+				keys:  make([]uint64, entries),
+				stamp: make([]uint64, entries),
+				tick:  1<<32 - 2000,
+			}
+			rng := uint64(0xDEADBEEFCAFE)
+			for i := 0; i < 50000; i++ {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				// Three keys per entry: hits on resident keys and
+				// constant eviction pressure from the tail.
+				key := Key(rng%uint64(3*entries)*4096, 12)
+				if got, want := tlb.Access(key), ref.Access(key); got != want {
+					t.Fatalf("access %d (key %#x): got hit=%v want %v", i, key, got, want)
+				}
+			}
+			if tlb.Hits != ref.hits || tlb.Misses != ref.misses {
+				t.Fatalf("counters diverge: got %d/%d want %d/%d", tlb.Hits, tlb.Misses, ref.hits, ref.misses)
+			}
+		})
 	}
 }
 

@@ -8,15 +8,14 @@ package cache
 // large page covers 512-1024x the address range of a small one, which is the
 // entire mechanism behind the optimization.
 //
-// Recency is a 64-bit last-use stamp per entry (a 64-bit tick cannot wrap
-// within any reachable simulation). Stamps make the hit path — the
-// overwhelmingly common one on a temporally-local access stream — a single
-// store, where an intrusive move-to-front list paid four pointer updates per
-// hit; the miss path pays an argmin scan over the stamps instead, and misses
-// are what the TLB exists to make rare. Stamps are strictly monotonic and
-// distinct, so the argmin victim is exactly the entry a move-to-front list
-// would have held at its tail: hit/miss outcomes and victim choices are
-// bit-identical.
+// Recency is a doubly-linked list threaded through the slots by prev/next
+// index arrays, closed into a ring by one sentinel slot: the head is the
+// MRU entry and the tail the victim, so a hit moves its slot to the front
+// and a miss reuses the tail, each in O(1). The tail is exactly the entry a
+// per-entry last-use stamp model evicts, so outcomes are bit-identical to
+// it; the stamps this replaced made a hit one store but cost every miss a
+// scan over all entries (DESIGN.md §5.6). Access has no MRU short-circuit:
+// the machine already skips the call when a core repeats its previous key.
 //
 // Lookups go through a small open-addressing index (hash of key → slot), so
 // a hit costs one or two probes regardless of TLB size. Key matches are
@@ -26,10 +25,11 @@ package cache
 type TLB struct {
 	entries int
 	keys    []uint64
-	stamps  []uint64
-	tick    uint64
-	mru     int
-	fill    int // entries holding a key; == entries once warm
+	// prev and next link slot i to its more- and less-recently used
+	// neighbours; index entries is the sentinel, so next[entries] is the
+	// head (MRU) and prev[entries] the tail (LRU).
+	prev, next []int32
+	fill       int // entries holding a key; == entries once warm
 
 	// slots maps hash(key) → slot+1 by linear probing (0 = empty). It is
 	// sized at 4x entries so probe chains stay short even when full.
@@ -45,13 +45,16 @@ func NewTLB(entries int) *TLB {
 	for tabSize < 4*entries {
 		tabSize *= 2
 	}
-	return &TLB{
+	t := &TLB{
 		entries:  entries,
 		keys:     make([]uint64, entries),
-		stamps:   make([]uint64, entries),
+		prev:     make([]int32, entries+1),
+		next:     make([]int32, entries+1),
 		slots:    make([]int32, tabSize),
 		slotMask: uint64(tabSize - 1),
 	}
+	t.prev[entries], t.next[entries] = int32(entries), int32(entries)
+	return t
 }
 
 // Key builds the lookup key for an address with the given page shift.
@@ -90,61 +93,62 @@ func (t *TLB) indexDel(key uint64) {
 }
 
 // indexPut records key → slot in the slot index.
-func (t *TLB) indexPut(key uint64, slot int) {
+func (t *TLB) indexPut(key uint64, slot int32) {
 	i := t.slotIdx(key)
 	for t.slots[i] != 0 {
 		i = (i + 1) & t.slotMask
 	}
-	t.slots[i] = int32(slot + 1)
+	t.slots[i] = slot + 1
+}
+
+// pushFront links slot i in as the head (MRU) of the recency list.
+func (t *TLB) pushFront(i int32) {
+	sent := int32(t.entries)
+	head := t.next[sent]
+	t.prev[i], t.next[i] = sent, head
+	t.prev[head] = i
+	t.next[sent] = i
+}
+
+// unlink takes slot i out of the recency list.
+func (t *TLB) unlink(i int32) {
+	p, n := t.prev[i], t.next[i]
+	t.next[p] = n
+	t.prev[n] = p
 }
 
 // Access looks up key, filling the TLB on a miss, and reports a hit.
 func (t *TLB) Access(key uint64) bool {
 	keys := t.keys
-	if m := t.mru; keys[m] == key { // no key is ever 0, so slot 0 is safe
-		// The MRU entry already carries the newest stamp; repeat hits
-		// need no recency update at all.
-		t.Hits++
-		return true
-	}
 	for i := t.slotIdx(key); ; i = (i + 1) & t.slotMask {
 		s := t.slots[i]
 		if s == 0 {
 			break
 		}
-		if si := int(s - 1); keys[si] == key {
+		if si := s - 1; keys[si] == key {
 			t.Hits++
-			t.tick++
-			t.stamps[si] = t.tick
-			t.mru = si
+			t.unlink(si)
+			t.pushFront(si)
 			return true
 		}
 	}
 	t.Misses++
-	slot := 0
+	var slot int32
 	if t.fill == t.entries {
-		// Evict the least-recently-used entry: the minimum stamp.
-		// Stamps are distinct, so the argmin is unique.
-		stamps := t.stamps
-		min := stamps[0]
-		for i := 1; i < len(stamps); i++ {
-			if stamps[i] < min {
-				min, slot = stamps[i], i
-			}
-		}
+		// Evict the least-recently-used entry: the list's tail.
+		slot = t.prev[t.entries]
 		t.indexDel(keys[slot])
+		t.unlink(slot)
 	} else {
 		// Entries are never invalidated, so free slots are exactly the
 		// indices not yet filled; taking them in index order matches the
 		// first-free-slot choice of the original scan.
-		slot = t.fill
+		slot = int32(t.fill)
 		t.fill++
 	}
 	keys[slot] = key
 	t.indexPut(key, slot)
-	t.tick++
-	t.stamps[slot] = t.tick
-	t.mru = slot
+	t.pushFront(slot)
 	return false
 }
 
@@ -152,13 +156,11 @@ func (t *TLB) Access(key uint64) bool {
 func (t *TLB) Reset() {
 	for i := range t.keys {
 		t.keys[i] = 0
-		t.stamps[i] = 0
 	}
 	for i := range t.slots {
 		t.slots[i] = 0
 	}
-	t.tick = 0
-	t.mru = 0
+	t.prev[t.entries], t.next[t.entries] = int32(t.entries), int32(t.entries)
 	t.fill = 0
 	t.Hits, t.Misses = 0, 0
 }

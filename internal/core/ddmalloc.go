@@ -49,10 +49,10 @@ const (
 	costFreeAllFix = 60 // freeAll fixed overhead
 	costReallocIP  = 14 // realloc satisfied in place
 
-	// codeSize is DDmalloc's simulated code footprint. The whole
+	// CodeSize is DDmalloc's simulated code footprint. The whole
 	// allocator is a few small functions (this file), far below the
 	// ~20 KiB of a defragmenting allocator.
-	codeSize = 4 * mem.KiB
+	CodeSize = 4 * mem.KiB
 )
 
 // Options configure a DDmalloc heap.
@@ -210,7 +210,7 @@ func (d *DDmalloc) addArena() bool {
 func (d *DDmalloc) Name() string { return "DDmalloc" }
 
 // CodeSize implements heap.Allocator.
-func (d *DDmalloc) CodeSize() uint64 { return codeSize }
+func (d *DDmalloc) CodeSize() uint64 { return CodeSize }
 
 // SupportsFree implements heap.Allocator: per-object free is the point.
 func (d *DDmalloc) SupportsFree() bool { return true }

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -677,22 +678,26 @@ func (s *Server) buildJob(ctx context.Context, req runRequest) (*job, error) {
 }
 
 // validateCell rejects cells naming unknown platforms, workloads,
-// allocators, or scheduling policies — before admission, so a bad request
-// costs a 400, never a queue slot.
+// allocators, or scheduling policies, a core count the platform does not
+// have, and an allocator the cell's runtime cannot run — before admission,
+// so a bad request costs a 400, never a queue slot. It decides from
+// registry facts alone and constructs no allocator or machine: it runs on
+// every single-cell request, on the coordinator and again on the worker.
 func validateCell(c experiments.Cell) error {
 	if c.Alloc == "" || c.Workload == "" {
 		return errors.New(`cell needs "alloc" and "workload"`)
 	}
-	if c.Cores < 1 {
-		return fmt.Errorf("cores %d must be >= 1", c.Cores)
-	}
-	if _, err := machine.PlatformByName(c.Platform); err != nil {
+	p, err := machine.PlatformByName(c.Platform)
+	if err != nil {
 		return err
+	}
+	if c.Cores < 1 || c.Cores > p.MaxCores {
+		return fmt.Errorf("cores %d outside 1..%d on %s", c.Cores, p.MaxCores, p.Name)
 	}
 	if _, err := workload.ByName(c.Workload); err != nil {
 		return err
 	}
-	if _, err := apprt.AllocCodeSize(c.Alloc); err != nil {
+	if _, err := apprt.RuntimeAllocator(c.Alloc, c.Ruby); err != nil {
 		return err
 	}
 	if c.MemSched != "" {
@@ -738,15 +743,23 @@ func (s *Server) rejectPressure(w http.ResponseWriter, code int, msg string) {
 	httpError(w, code, msg)
 }
 
+// decodeRunRequest reads a POST /run body: at most 1 MiB, and no field
+// runRequest does not declare.
+func decodeRunRequest(w http.ResponseWriter, body io.ReadCloser) (runRequest, error) {
+	var req runRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req runRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRunRequest(w, r.Body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

@@ -312,6 +312,13 @@ func TestServeBadRequests(t *testing.T) {
 		`{"alloc":"default","workload":"phpBB","faults":"frobnicate:1"}`,
 		`{"alloc":"default","workload":"phpBB","memsched":"fifo"}`,
 		`{"alloc":"default","workload":"phpBB","unknown_field":1}`,
+		// Cells that used to pass validation and fail only after taking a
+		// queue slot: more cores than the platform has (a panic in
+		// machine.New), a Ruby cell on an allocator outside the Ruby
+		// study, and a PHP cell on an allocator without freeAll.
+		`{"alloc":"ddmalloc","workload":"phpBB","cores":9}`,
+		`{"alloc":"region","ruby":true}`,
+		`{"alloc":"glibc","workload":"phpBB"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -332,6 +339,20 @@ func TestServeBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /run: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestValidateCellConstructsNothing: single-cell admission decides from
+// registry lookups. Building an allocator to read its code size (a 64 GiB
+// address space, an event buffer and DDmalloc's segment table, 28
+// allocations per call) must not come back onto this per-request path.
+func TestValidateCellConstructsNothing(t *testing.T) {
+	c := experiments.Cell{Platform: "xeon", Alloc: "ddmalloc", Workload: "phpBB", Cores: 8}
+	if err := validateCell(c); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = validateCell(c) }); n > 6 {
+		t.Errorf("validateCell made %.0f allocations per call, want at most 6", n)
 	}
 }
 
