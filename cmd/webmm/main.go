@@ -122,6 +122,29 @@ func run() int {
 		return 0
 	}
 
+	// The config, and the cell the -platform/-alloc/-workload/-cores/
+	// -budget/-memsched flags select, are validated for every -exp before
+	// anything runs; the flag defaults form a valid cell.
+	cfg := experiments.Config{
+		Scale: *scale, Warmup: *warmup, Measure: *measure,
+		Seed: *seed, XeonLargePages: *xeonLP, Fidelity: *fidelity,
+	}
+	cell := experiments.Cell{Platform: *platform, Alloc: *alloc, Workload: *wl, Cores: *cores, MemSched: *memsched}
+	var err error
+	if *budgetFl != "" {
+		if cell.Budget, err = experiments.ParseSize(*budgetFl); err != nil {
+			fmt.Fprintln(os.Stderr, "webmm: -budget:", err)
+			return 2
+		}
+	}
+	if err = cfg.Validate(); err == nil {
+		err = cell.Validate()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "webmm:", err)
+		return 2
+	}
+
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -159,16 +182,6 @@ func run() int {
 		return 2
 	}
 
-	switch *fidelity {
-	case "", experiments.FidelityFull, experiments.FidelitySampled:
-	default:
-		fmt.Fprintf(os.Stderr, "webmm: unknown -fidelity %q (want full or sampled)\n", *fidelity)
-		return 2
-	}
-	cfg := experiments.Config{
-		Scale: *scale, Warmup: *warmup, Measure: *measure,
-		Seed: *seed, XeonLargePages: *xeonLP, Fidelity: *fidelity,
-	}
 	// SIGINT/SIGTERM cancels in-flight cells cooperatively: they fail,
 	// the failure report prints, and the run exits nonzero — no abandoned
 	// simulation work.
@@ -194,28 +207,13 @@ func run() int {
 		r.Cache = cc
 	}
 
-	var cellBudget uint64
-	if *budgetFl != "" {
-		cellBudget, err = experiments.ParseSize(*budgetFl)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "webmm: -budget:", err)
-			return 2
-		}
-	}
-	if *memsched != "" {
-		if _, err := memsys.PolicyByName(memsys.PolicyName(*memsched)); err != nil {
-			fmt.Fprintln(os.Stderr, "webmm: -memsched:", err)
-			return 2
-		}
-	}
-
 	names := []string{*exp}
 	if *exp == "all" {
 		names = experiments.PaperExperimentNames()
 	}
 	var ran []string
 	for _, name := range names {
-		if err := runExperiment(r, name, *jobs, *csv, *platform, *alloc, *wl, *cores, cellBudget, *memsched); err != nil {
+		if err := runExperiment(r, name, *jobs, *csv, cell); err != nil {
 			fmt.Fprintln(os.Stderr, "webmm:", err)
 			return 2
 		}
@@ -269,14 +267,9 @@ func run() int {
 // pool, then renders its tables (and, in table mode, charts) from the
 // memoized results. "cell" is the one experiment outside the registry: a
 // single cell selected by the -platform/-alloc/-workload/-cores flags.
-func runExperiment(r *experiments.Runner, name string, jobs int, csv bool,
-	platform, alloc, wl string, cores int, budget uint64, memsched string) error {
+func runExperiment(r *experiments.Runner, name string, jobs int, csv bool, cell experiments.Cell) error {
 	if name == "cell" {
-		cr := r.Run(experiments.Cell{
-			Platform: platform, Alloc: alloc, Workload: wl, Cores: cores,
-			Budget: budget, MemSched: memsched,
-		})
-		printCell(cr)
+		printCell(r.Run(cell))
 		return nil
 	}
 	d, err := experiments.ExperimentByName(name)

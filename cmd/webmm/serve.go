@@ -53,8 +53,9 @@ Endpoints:
 
 With -workers, the instance becomes a fleet coordinator: experiments are
 planned with the ordinary planners but every cell executes remotely over
-POST /run on the listed workers (which must share the coordinator's
-simulation defaults). Identical in-flight cells across clients coalesce to
+POST /run on the listed workers, under the coordinator's simulation config
+(a result under any other config is refused and retried on the next
+shard). Identical in-flight cells across clients coalesce to
 one upstream call; unreachable shards fail over; cells slower than -hedge ×
 the observed median are hedged onto a second shard and the first answer
 wins. Point every instance at one store with -remote-cache and a cell

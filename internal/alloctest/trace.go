@@ -28,8 +28,8 @@ func RunTrace(mk Maker, data []byte) (*heap.Checked, error) {
 		p    heap.Ptr
 		size uint64
 	}
-	var live []obj          // wrapper-visible live objects, in birth order
-	var freed []heap.Ptr    // freed per-object and not yet reused
+	var live []obj       // wrapper-visible live objects, in birth order
+	var freed []heap.Ptr // freed per-object and not yet reused
 	expect := map[heap.ErrKind]uint64{}
 	expectTotal := uint64(0)
 	misuse := func(k heap.ErrKind) {

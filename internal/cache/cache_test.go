@@ -25,7 +25,7 @@ func TestAccessHitAfterMiss(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := testCache(4096, 4) // 16 sets: lines mapping to set 0 are multiples of 16
+	c := testCache(4096, 4)           // 16 sets: lines mapping to set 0 are multiples of 16
 	lines := []uint64{16, 32, 48, 64} // fill all 4 ways of set 0
 	for _, l := range lines {
 		c.Access(l, false)

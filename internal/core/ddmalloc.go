@@ -30,6 +30,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"webmm/internal/heap"
 	"webmm/internal/mem"
@@ -194,6 +195,7 @@ func (d *DDmalloc) addArena() bool {
 	d.env.Instr(400, sim.ClassOS) // mmap syscall
 	d.arenas = append(d.arenas, a)
 	base := len(d.segments)
+	d.segments = slices.Grow(d.segments, d.opt.ArenaSegments)
 	for i := 0; i < d.opt.ArenaSegments; i++ {
 		d.segments = append(d.segments, segment{
 			base:  a.Base + mem.Addr(uint64(i)*d.opt.SegmentSize),

@@ -214,11 +214,30 @@ func TestScalePlatformPreservesGeometry(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: Config.Validate rejects every config NewRunner
+// must not run, and NewRunner panics on them.
 func TestConfigValidation(t *testing.T) {
+	ok := Config{Scale: 64, Warmup: 0, Measure: 1, Seed: 7}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("%+v rejected: %v", ok, err)
+	}
+	for _, bad := range []Config{
+		{Scale: 3, Measure: 1},
+		{Scale: 0, Measure: 1},
+		{Scale: -4, Measure: 1},
+		{Scale: 64, Warmup: -1, Measure: 1},
+		{Scale: 64, Measure: 0},
+		{Scale: 64, Measure: -2},
+		{Scale: 64, Measure: 1, Fidelity: "bogus"},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("non-power-of-two scale accepted")
+			t.Fatal("NewRunner accepted a non-power-of-two scale")
 		}
 	}()
-	NewRunner(Config{Scale: 3})
+	NewRunner(Config{Scale: 3, Measure: 1})
 }

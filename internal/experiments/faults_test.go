@@ -90,20 +90,25 @@ func TestInjectedPanicIsolated(t *testing.T) {
 }
 
 // TestConfigErrorNotRetried: deterministic configuration errors fail on the
-// first attempt, without a retry and without a panic stack.
+// first attempt, without a retry and without a panic stack — including more
+// cores than the platform has, which used to panic in machine.New and be
+// retried.
 func TestConfigErrorNotRetried(t *testing.T) {
-	r := NewRunner(faultCfg())
-	res := r.Run(Cell{Platform: "vax", Alloc: "default",
-		Workload: workload.PhpBB().Name, Cores: 1})
-	if !res.Failed {
-		t.Fatal("unknown platform did not fail the cell")
-	}
-	fails := r.Failures()
-	if len(fails) != 1 || fails[0].Attempts != 1 {
-		t.Fatalf("config error retried: %+v", fails)
-	}
-	if len(fails[0].Stack) != 0 {
-		t.Error("config error recorded a panic stack")
+	for _, c := range []Cell{
+		{Platform: "vax", Alloc: "default", Workload: workload.PhpBB().Name, Cores: 1},
+		{Platform: "xeon", Alloc: "default", Workload: workload.PhpBB().Name, Cores: 9},
+	} {
+		r := NewRunner(faultCfg())
+		if res := r.Run(c); !res.Failed {
+			t.Fatalf("%s did not fail", c.Key())
+		}
+		fails := r.Failures()
+		if len(fails) != 1 || fails[0].Attempts != 1 {
+			t.Fatalf("%s: config error retried: %+v", c.Key(), fails)
+		}
+		if len(fails[0].Stack) != 0 {
+			t.Errorf("%s: config error recorded a panic stack", c.Key())
+		}
 	}
 }
 

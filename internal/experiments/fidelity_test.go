@@ -58,7 +58,10 @@ func TestCellCacheFidelityKeying(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := phpCell("xeon", "default", workload.MediaWikiRW().Name, 8)
-	full := Config{Scale: 32, Warmup: 1, Measure: 2, Seed: 1}.normalized()
+	full := Config{Scale: 32, Warmup: 1, Measure: 2, Seed: 1, Fidelity: FidelityFull}
+	if err := full.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	sampled := full
 	sampled.Fidelity = FidelitySampled
 
@@ -84,15 +87,21 @@ func TestCellCacheFidelityKeying(t *testing.T) {
 }
 
 // TestFidelitySpellingsShareConfig pins that the explicit "full" spelling
-// and the zero value are one configuration (normalized shares cache keys).
+// and the zero value are one configuration (Validate canonicalizes, so both
+// share runners and cache keys).
 func TestFidelitySpellingsShareConfig(t *testing.T) {
 	a := Config{Scale: 32, Warmup: 1, Measure: 2, Seed: 1}
 	b := a
 	b.Fidelity = FidelityFull
-	if a.normalized() != b.normalized() {
-		t.Fatalf("%+v and %+v should normalize to the same config", a, b)
+	if err := b.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if NewRunner(b).Cfg.Fidelity != "" {
-		t.Fatal("NewRunner should normalize explicit full fidelity to the zero value")
+	if a != b {
+		t.Fatalf("Validate left %+v distinct from %+v", b, a)
+	}
+	c := a
+	c.Fidelity = FidelityFull
+	if NewRunner(c).Cfg.Fidelity != "" {
+		t.Fatal("NewRunner should canonicalize explicit full fidelity to the zero value")
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+
 	"webmm/internal/report"
 	"webmm/internal/sim"
 )
@@ -13,16 +15,14 @@ const rubyRestartEvery = 500
 // rubyRestart returns the restart period adjusted to the configured scale:
 // the paper's 500-transaction lifetime is defined against full-size
 // transactions, so a scaled-down run shortens the lifetime proportionally
-// to keep heap aging per process constant.
+// to keep heap aging per process constant. A negative period comes back
+// unchanged for Cell.Validate to reject, and a huge one saturates instead
+// of overflowing, so it means no restart within the run.
 func (r *Runner) rubyRestart(period int) int {
-	if period == 0 {
-		return 0
+	if period <= 0 {
+		return period
 	}
-	p := period * 8 / r.Cfg.Scale
-	if p < 2 {
-		p = 2
-	}
-	return p
+	return max(min(period, math.MaxInt/8)*8/r.Cfg.Scale, 2)
 }
 
 // RubyRestartPeriod converts a restart period expressed in the paper's
@@ -132,11 +132,11 @@ var Fig12Periods = []int{20, 100, 500, 2500, 0}
 
 // Fig12Entry is one curve point.
 type Fig12Entry struct {
-	Alloc        string
-	Period       int // full-scale transactions per process; 0 = no restart
-	Throughput   float64
-	VsNoRestart  float64 // relative to the same allocator without restarts
-	Failed       bool
+	Alloc       string
+	Period      int // full-scale transactions per process; 0 = no restart
+	Throughput  float64
+	VsNoRestart float64 // relative to the same allocator without restarts
+	Failed      bool
 }
 
 // Fig12 runs the restart-period sweep.

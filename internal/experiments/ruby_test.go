@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // rubyTestRunner is coarse enough for quick shape checks; Ruby cells
 // internally lengthen their horizons so processes age and restart.
@@ -106,5 +109,28 @@ func TestRubyRestartPeriodScaling(t *testing.T) {
 	}
 	if got := r64.rubyRestart(20); got < 2 {
 		t.Errorf("rubyRestart(20) = %d, want clamped >= 2", got)
+	}
+	// A negative period stays negative for Cell.Validate to reject, and a
+	// huge one saturates (no restart within the run) instead of wrapping
+	// to the minimum period 2.
+	if got := r64.rubyRestart(-1); got != -1 {
+		t.Errorf("rubyRestart(-1) = %d, want -1", got)
+	}
+	if got, want := r64.rubyRestart(2305843009213693952), math.MaxInt/8*8/64; got != want {
+		t.Errorf("rubyRestart(2^61) = %d, want %d", got, want)
+	}
+	// Every period the planners use maps as it did before saturation.
+	for exp := 0; exp <= 10; exp++ {
+		scale := 1 << exp
+		r := NewRunner(Config{Scale: scale, Measure: 1})
+		for _, period := range append(Fig12Periods, rubyRestartEvery) {
+			want := 0
+			if period > 0 {
+				want = max(period*8/scale, 2)
+			}
+			if got := r.rubyRestart(period); got != want {
+				t.Errorf("scale %d: rubyRestart(%d) = %d, want %d", scale, period, got, want)
+			}
+		}
 	}
 }

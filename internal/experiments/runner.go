@@ -55,21 +55,12 @@ type Config struct {
 	Fidelity string
 }
 
-// The fidelity modes. FidelityFull is normalized to the empty string inside
-// the runner so "full" and "" configurations share cache keys.
+// The fidelity modes. Config.Validate rewrites FidelityFull to the empty
+// string so "full" and "" configurations share runners and cache keys.
 const (
 	FidelityFull    = "full"
 	FidelitySampled = "sampled"
 )
-
-// normalized canonicalizes spelling variants that must not produce distinct
-// cache keys.
-func (c Config) normalized() Config {
-	if c.Fidelity == FidelityFull {
-		c.Fidelity = ""
-	}
-	return c
-}
 
 // DefaultConfig is sized for interactive runs; the committed EXPERIMENTS.md
 // numbers use Scale 8 (see that file for the exact configurations).
@@ -77,15 +68,31 @@ func DefaultConfig() Config {
 	return Config{Scale: 32, Warmup: 2, Measure: 3, Seed: 20090615}
 }
 
-func (c Config) validate() {
+// Validate is the one check of a Config, applied wherever one enters the
+// program: the CLI, the Study API, server defaults and every POST /run.
+// Scale must be a power of two, Warmup at least 0, Measure at least 1 and
+// Fidelity a known mode. Validate also canonicalizes: the explicit "full"
+// spelling becomes "", so equivalent configurations share one runner and
+// one cache key.
+func (c *Config) Validate() error {
 	if c.Scale < 1 || c.Scale&(c.Scale-1) != 0 {
-		panic(fmt.Sprintf("experiments: scale %d must be a power of two", c.Scale))
+		return fmt.Errorf("experiments: scale %d must be a power of two", c.Scale)
+	}
+	if c.Warmup < 0 {
+		return fmt.Errorf("experiments: warmup %d must be >= 0", c.Warmup)
+	}
+	if c.Measure < 1 {
+		return fmt.Errorf("experiments: measure %d must be >= 1", c.Measure)
 	}
 	switch c.Fidelity {
-	case "", FidelityFull, FidelitySampled:
+	case FidelityFull:
+		c.Fidelity = ""
+	case "", FidelitySampled:
 	default:
-		panic(fmt.Sprintf("experiments: unknown fidelity %q", c.Fidelity))
+		return fmt.Errorf("experiments: unknown fidelity %q (want %q or %q)",
+			c.Fidelity, FidelityFull, FidelitySampled)
 	}
+	return nil
 }
 
 // scalePlatform shrinks the capacity-dependent structures with the
@@ -133,6 +140,44 @@ type Cell struct {
 	// keeps bus-cell fingerprints byte-identical to builds that predate
 	// the field.
 	MemSched string `json:",omitempty"`
+}
+
+// Validate is the one check of a Cell: every name (platform, workload,
+// allocator, policy) resolves in its registry, the platform has the cores,
+// the runtime can run the allocator, and a restart period is set only on a
+// Ruby cell and is never negative. It decides from registry facts alone
+// and constructs nothing, so admission can run it on every request.
+// Runner.build runs it first, so an invalid cell that reaches the runner
+// fails once as a configuration error rather than as a retried panic.
+func (c Cell) Validate() error {
+	if c.Alloc == "" || c.Workload == "" {
+		return errors.New("experiments: cell needs an allocator and a workload")
+	}
+	p, err := machine.PlatformByName(c.Platform)
+	if err != nil {
+		return err
+	}
+	if c.Cores < 1 || c.Cores > p.MaxCores {
+		return fmt.Errorf("experiments: cores %d outside 1..%d on %s", c.Cores, p.MaxCores, p.Name)
+	}
+	if _, err := workload.ByName(c.Workload); err != nil {
+		return err
+	}
+	if _, err := apprt.RuntimeAllocator(c.Alloc, c.Ruby); err != nil {
+		return err
+	}
+	if c.RestartEvery < 0 {
+		return fmt.Errorf("experiments: restart period %d must be >= 0", c.RestartEvery)
+	}
+	if c.RestartEvery > 0 && !c.Ruby {
+		return fmt.Errorf("experiments: restart period %d on a PHP cell (only Ruby processes restart)", c.RestartEvery)
+	}
+	if c.MemSched != "" {
+		if _, err := memsys.PolicyByName(memsys.PolicyName(c.MemSched)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CellResult bundles everything an experiment needs from one run.
@@ -258,7 +303,7 @@ type Runner struct {
 	// Per-cell execution accounting for the run manifest. Kept regardless
 	// of telemetry (a map write per simulated cell) so a manifest can be
 	// assembled after the fact.
-	accounts  map[Cell]cellAccount
+	accounts map[Cell]cellAccount
 	cacheHits, cacheMisses,
 	memoHits uint64
 	faultsOOM, faultsPanic atomic.Uint64
@@ -284,10 +329,13 @@ type inflightCell struct {
 	cancelled bool
 }
 
-// NewRunner returns a Runner for cfg.
+// NewRunner returns a Runner for cfg, canonicalized by Config.Validate.
+// It panics on a Config that Config.Validate rejects; callers holding
+// untrusted input validate first.
 func NewRunner(cfg Config) *Runner {
-	cfg.validate()
-	cfg = cfg.normalized()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	return &Runner{
 		Cfg:      cfg,
 		cells:    make(map[Cell]CellResult),
@@ -296,12 +344,14 @@ func NewRunner(cfg Config) *Runner {
 	}
 }
 
-// footprinter lets the runner sample per-transaction footprints from either
-// runtime type.
-type footprinter interface {
+// cellRuntime is what the runner needs of a PHP or Ruby runtime: a driver
+// for the machine, per-transaction footprint sampling, and its generator's
+// call counts.
+type cellRuntime interface {
 	machine.Driver
 	AvgFootprint() float64
 	ResetFootprint()
+	Generator() *workload.Generator
 }
 
 // Run simulates (or returns the memoized result of) one cell. Concurrent
@@ -780,10 +830,12 @@ func (r *Runner) RunAll(cells []Cell, jobs int) []CellResult {
 	return out
 }
 
-// simulate runs one cell from scratch. It touches no Runner state beyond
-// the (immutable) Cfg and Faults, which is what makes parallel fan-out
-// safe. attempt distinguishes the retry's fault-injection draws from the
-// first try's; with an empty FaultPlan it has no effect at all.
+// simulate runs one cell from scratch: build, warm, measure, result. It
+// touches no Runner state beyond the (immutable) Cfg and Faults, which is
+// what makes parallel fan-out safe. Around the stages it keeps what varies
+// per run rather than per cell: the injected faults, the budget lease and
+// the phase spans. attempt distinguishes the retry's fault-injection draws
+// from the first try's; with an empty FaultPlan it has no effect at all.
 //
 // Cancellation checkpoints: ctx is polled between the construct/warmup/
 // measure/solve phases here, per stream during construction, and between
@@ -804,89 +856,10 @@ func (r *Runner) simulate(ctx context.Context, c Cell, attempt int, span *teleme
 		}
 	}
 	construct := span.Child("construct", "phase")
-	plat, err := machine.PlatformByName(c.Platform)
+	b, err := r.build(ctx, c, span)
 	if err != nil {
 		construct.End()
 		return CellResult{}, err
-	}
-	plat = scalePlatform(plat, r.Cfg.Scale)
-	if c.MemSched != "" {
-		// The DRAM model sits behind the same transfer link the platform's
-		// bus prices, so the aggregate bandwidth story is unchanged; what
-		// the swap adds is row-buffer economics and per-core scheduling.
-		dram, err := memsys.NewDRAM(
-			memsys.DRAMConfig{Policy: memsys.PolicyName(c.MemSched)},
-			plat.Mem.Link(), c.Cores)
-		if err != nil {
-			construct.End()
-			return CellResult{}, err
-		}
-		plat.Mem = dram
-	}
-
-	prof, err := workload.ByName(c.Workload)
-	if err != nil {
-		construct.End()
-		return CellResult{}, err
-	}
-	allocCode, err := apprt.AllocCodeSize(c.Alloc)
-	if err != nil {
-		construct.End()
-		return CellResult{}, err
-	}
-	// Interpreter + compiled-script code footprint. Code size is a fixed
-	// property of the software, like the allocator's own footprint, so
-	// it does not scale with the workload.
-	const appCode = 192 * mem.KiB
-	m := machine.New(plat, c.Cores, allocCode, appCode, r.Cfg.Seed)
-	r.attachTelemetry(m, plat, span)
-
-	// A static Cell.Budget arms before construction: it models the total
-	// memory the tenant was given, so an allocator whose footprint cannot
-	// fit it fails to build (a deterministic FAILED row — the heap-limit
-	// sweep's cliff), and one that fits keeps the cap for its steady-state
-	// map traffic. Fault budgets (below) stay post-construction: they are
-	// steady-state perturbations, not sizing.
-	if c.Budget > 0 {
-		for _, s := range m.Streams() {
-			s.Env.AS.SetBudget(c.Budget)
-		}
-	}
-
-	largePages := plat.Name == "niagara" || (plat.Name == "xeon" && r.Cfg.XeonLargePages)
-	drivers := make([]machine.Driver, m.NumStreams())
-	fps := make([]footprinter, m.NumStreams())
-	gens := make([]*workload.Generator, m.NumStreams())
-	for i, s := range m.Streams() {
-		if err := ctxErr(ctx); err != nil {
-			construct.End()
-			return CellResult{}, err
-		}
-		opts := apprt.AllocOptions{PID: i, LargePages: largePages}
-		if c.Ruby {
-			rt, err := apprt.NewRuby(s.Env, c.Alloc, prof, r.Cfg.Scale, c.RestartEvery, opts)
-			if err != nil {
-				construct.End()
-				return CellResult{}, err
-			}
-			// The restart *period* is scaled by 8/scale (see
-			// rubyRestart), so the restart cost is scaled by the
-			// same factor on top of its per-scale default to keep
-			// the overhead fraction per unit of work faithful.
-			rt.RestartCost = rt.RestartCost * 8 / uint64(r.Cfg.Scale)
-			drivers[i], fps[i], gens[i] = rt, rt, rt.Generator()
-		} else {
-			rt, err := apprt.NewPHP(s.Env, c.Alloc, prof, r.Cfg.Scale, opts)
-			if err != nil {
-				construct.End()
-				return CellResult{}, err
-			}
-			drivers[i], fps[i], gens[i] = rt, rt, rt.Generator()
-		}
-	}
-	spaces := make([]*mem.AddressSpace, m.NumStreams())
-	for i, s := range m.Streams() {
-		spaces[i] = s.Env.AS
 	}
 	// Arm fault injection after construction so denials and injected OOM
 	// land on the steady-state Map paths the runtimes' bail-out machinery
@@ -894,8 +867,7 @@ func (r *Runner) simulate(ctx context.Context, c Cell, attempt int, span *teleme
 	// The injector RNGs are the streams' own, seeded apart from all
 	// simulation randomness, so an empty plan changes nothing.
 	if r.Faults.OOMRate > 0 || r.Faults.Budget > 0 {
-		for i, s := range m.Streams() {
-			as := s.Env.AS
+		for i, as := range b.spaces {
 			if r.Faults.Budget > 0 {
 				as.SetBudget(r.Faults.Budget)
 			}
@@ -917,10 +889,10 @@ func (r *Runner) simulate(ctx context.Context, c Cell, attempt int, span *teleme
 	// from here on the controller samples its footprint, estimates its
 	// allocation rate through the lease's profile, and retargets the
 	// streams' budgets mid-run. Controller-pushed limits override any
-	// static budget armed above — an admitted tenant is governed.
+	// static budget armed by build — an admitted tenant is governed.
 	var lease *budget.Lease
 	if r.Budget != nil {
-		lease = r.Budget.Admit(cellKey(c), spaces)
+		lease = r.Budget.Admit(cellKey(c), b.spaces)
 		defer func() {
 			// Read the denial tally before releasing so a panic that
 			// unwinds through here (a restart that could not remap under
@@ -931,7 +903,7 @@ func (r *Runner) simulate(ctx context.Context, c Cell, attempt int, span *teleme
 			}
 			lease.Release()
 		}()
-		for _, s := range m.Streams() {
+		for _, s := range b.m.Streams() {
 			if prev := s.Env.AllocRec; prev != nil {
 				s.Env.AllocRec = teeRecorder{prev, lease}
 			} else {
@@ -939,23 +911,9 @@ func (r *Runner) simulate(ctx context.Context, c Cell, attempt int, span *teleme
 			}
 		}
 	}
-	warmup, measure := r.Cfg.Warmup, r.Cfg.Measure
-	if c.Ruby {
-		// Ruby cells must run long enough that processes age, restart
-		// on schedule, and the measurement samples a full process
-		// lifetime (Figure 12's effect lives on that horizon).
-		p500 := r.rubyRestart(rubyRestartEvery)
-		if warmup < p500/2 {
-			warmup = p500 / 2
-		}
-		if measure < p500+p500/4 {
-			measure = p500 + p500/4
-		}
-	}
 	construct.End()
 	warm := span.Child("warmup", "phase")
-	m.PriceSetup()
-	err = m.RunContext(ctx, drivers, warmup, 0)
+	err = b.warm(ctx)
 	warm.End()
 	if err != nil {
 		return CellResult{}, err
@@ -972,69 +930,202 @@ func (r *Runner) simulate(ctx context.Context, c Cell, attempt int, span *teleme
 		if lease != nil {
 			lease.Squeeze(f)
 		} else {
-			budget.SqueezeSpaces(spaces, f)
+			budget.SqueezeSpaces(b.spaces, f)
 		}
 	}
-	for _, fp := range fps {
-		fp.ResetFootprint()
-	}
-	callsBefore := make([]heap.Stats, len(gens))
-	for i, g := range gens {
-		callsBefore[i] = g.Stats()
-	}
 	meas := span.Child("measure", "phase")
-	if r.Cfg.Fidelity == FidelitySampled {
-		err = m.RunSampled(ctx, drivers, measure, machine.DefaultSamplePlan())
-	} else {
-		err = m.RunContext(ctx, drivers, 0, measure)
-	}
+	err = b.measure(ctx, r.Cfg.Fidelity)
 	meas.End()
 	if err != nil {
 		return CellResult{}, err
 	}
-
 	if err := ctxErr(ctx); err != nil {
 		return CellResult{}, err
 	}
 	slv := span.Child("solve", "phase")
-	res := m.Solve()
+	out := b.result()
 	slv.End()
-	if ms := res.Mem; ms != nil && r.Tel.Enabled() {
-		met := r.Tel.Metrics()
-		lbl := telemetry.Labels{"policy": ms.Policy}
-		met.Counter("webmm_dram_row_hits_total",
-			"DRAM requests served from an open row, by scheduling policy", lbl).Add(ms.RowHits)
-		met.Counter("webmm_dram_row_conflicts_total",
-			"DRAM requests that closed another bank row first, by scheduling policy", lbl).Add(ms.RowConflicts)
-		met.Counter("webmm_dram_row_closed_total",
-			"DRAM requests that found their bank precharged, by scheduling policy", lbl).Add(ms.RowClosed)
-		met.Gauge("webmm_dram_bank_queue_depth_max",
-			"deepest per-bank request queue observed in the last DRAM-backed cell", lbl).Set(float64(ms.MaxQueueDepth))
-	}
-	out := CellResult{Cell: c, Res: res}
-	var fpSum float64
-	var calls heap.Stats
-	for i := range fps {
-		fpSum += fps[i].AvgFootprint()
-		after := gens[i].Stats()
-		calls.Mallocs += after.Mallocs - callsBefore[i].Mallocs
-		calls.Frees += after.Frees - callsBefore[i].Frees
-		calls.Reallocs += after.Reallocs - callsBefore[i].Reallocs
-		calls.BytesRequested += after.BytesRequested - callsBefore[i].BytesRequested
-		calls.BytesAllocated += after.BytesAllocated - callsBefore[i].BytesAllocated
-		calls.Bailouts += after.Bailouts - callsBefore[i].Bailouts
-	}
-	out.Footprint = fpSum / float64(len(fps))
-	out.Calls = calls
-	out.TxnsPerStream = float64(res.Txns) / float64(len(fps))
-	for _, as := range spaces {
-		out.BudgetDenials += as.BudgetDenials()
-	}
+	r.recordMemStats(out.Res.Mem)
 	// Only a live controller makes a result pressure-dependent; static
 	// budget denials (Cell.Budget, -faults budget/squeeze without a
 	// controller) are deterministic properties of the cell.
 	out.Pressured = lease != nil && lease.Denials() > 0
 	return out, nil
+}
+
+// builtCell is one cell constructed and ready to run: its machine, one
+// runtime per stream, and the rounds each phase runs.
+type builtCell struct {
+	cell                   Cell
+	m                      *machine.Machine
+	drivers                []machine.Driver
+	rts                    []cellRuntime
+	spaces                 []*mem.AddressSpace
+	warmRounds, measRounds int
+	// callsBefore holds each stream's call counts at the start of the
+	// measured rounds, which result subtracts.
+	callsBefore []heap.Stats
+}
+
+// build constructs cell c under the runner's Config. It validates the cell,
+// scales the platform, swaps in the DRAM model when the cell names a
+// policy, builds the machine with telemetry attached and a static
+// Cell.Budget armed, builds one runtime per stream (polling ctx between
+// streams), and sets the phase lengths. Injected faults and a budget lease
+// are per-run, not per-cell, and simulate arms them on the built cell.
+func (r *Runner) build(ctx context.Context, c Cell, span *telemetry.Span) (builtCell, error) {
+	if err := c.Validate(); err != nil {
+		return builtCell{}, err
+	}
+	plat, err := machine.PlatformByName(c.Platform)
+	if err != nil {
+		return builtCell{}, err
+	}
+	plat = scalePlatform(plat, r.Cfg.Scale)
+	if c.MemSched != "" {
+		// The DRAM model sits behind the same transfer link the platform's
+		// bus prices, so the aggregate bandwidth story is unchanged; what
+		// the swap adds is row-buffer economics and per-core scheduling.
+		dram, err := memsys.NewDRAM(
+			memsys.DRAMConfig{Policy: memsys.PolicyName(c.MemSched)},
+			plat.Mem.Link(), c.Cores)
+		if err != nil {
+			return builtCell{}, err
+		}
+		plat.Mem = dram
+	}
+	prof, err := workload.ByName(c.Workload)
+	if err != nil {
+		return builtCell{}, err
+	}
+	allocCode, err := apprt.AllocCodeSize(c.Alloc)
+	if err != nil {
+		return builtCell{}, err
+	}
+	// Interpreter + compiled-script code footprint. Code size is a fixed
+	// property of the software, like the allocator's own footprint, so
+	// it does not scale with the workload.
+	const appCode = 192 * mem.KiB
+	m := machine.New(plat, c.Cores, allocCode, appCode, r.Cfg.Seed)
+	r.attachTelemetry(m, plat, span)
+
+	n := m.NumStreams()
+	b := builtCell{
+		cell: c, m: m,
+		drivers:    make([]machine.Driver, n),
+		rts:        make([]cellRuntime, n),
+		spaces:     make([]*mem.AddressSpace, n),
+		warmRounds: r.Cfg.Warmup, measRounds: r.Cfg.Measure,
+	}
+	largePages := plat.Name == "niagara" || (plat.Name == "xeon" && r.Cfg.XeonLargePages)
+	for i, s := range m.Streams() {
+		if err := ctxErr(ctx); err != nil {
+			return builtCell{}, err
+		}
+		// A static Cell.Budget arms before the runtime is built: it models
+		// the total memory the tenant was given, so an allocator whose
+		// footprint cannot fit it fails to build (a deterministic FAILED
+		// row — the heap-limit sweep's cliff), and one that fits keeps the
+		// cap for its steady-state map traffic.
+		if c.Budget > 0 {
+			s.Env.AS.SetBudget(c.Budget)
+		}
+		opts := apprt.AllocOptions{PID: i, LargePages: largePages}
+		var rt cellRuntime
+		if c.Ruby {
+			ruby, err := apprt.NewRuby(s.Env, c.Alloc, prof, r.Cfg.Scale, c.RestartEvery, opts)
+			if err != nil {
+				return builtCell{}, err
+			}
+			// The restart *period* is scaled by 8/scale (see
+			// rubyRestart), so the restart cost is scaled by the same
+			// factor on top of its per-scale default to keep the
+			// overhead fraction per unit of work faithful.
+			ruby.RestartCost = ruby.RestartCost * 8 / uint64(r.Cfg.Scale)
+			rt = ruby
+		} else {
+			php, err := apprt.NewPHP(s.Env, c.Alloc, prof, r.Cfg.Scale, opts)
+			if err != nil {
+				return builtCell{}, err
+			}
+			rt = php
+		}
+		b.drivers[i], b.rts[i], b.spaces[i] = rt, rt, s.Env.AS
+	}
+	if c.Ruby {
+		// Ruby cells must run long enough that processes age, restart
+		// on schedule, and the measurement samples a full process
+		// lifetime (Figure 12's effect lives on that horizon).
+		p500 := r.rubyRestart(rubyRestartEvery)
+		b.warmRounds = max(b.warmRounds, p500/2)
+		b.measRounds = max(b.measRounds, p500+p500/4)
+	}
+	return b, nil
+}
+
+// warm prices the construction events and runs the warmup rounds.
+func (b *builtCell) warm(ctx context.Context) error {
+	b.m.PriceSetup()
+	return b.m.RunContext(ctx, b.drivers, b.warmRounds, 0)
+}
+
+// measure restarts each stream's footprint sampling, records its call
+// counts, and runs the measured rounds: every one priced, or under
+// FidelitySampled a sample of them.
+func (b *builtCell) measure(ctx context.Context, fidelity string) error {
+	b.callsBefore = make([]heap.Stats, len(b.rts))
+	for i, rt := range b.rts {
+		rt.ResetFootprint()
+		b.callsBefore[i] = rt.Generator().Stats()
+	}
+	if fidelity == FidelitySampled {
+		return b.m.RunSampled(ctx, b.drivers, b.measRounds, machine.DefaultSamplePlan())
+	}
+	return b.m.RunContext(ctx, b.drivers, 0, b.measRounds)
+}
+
+// result solves the machine and assembles the cell's result: the solved
+// timing, the mean footprint and per-stream calls over the measured
+// rounds, and the budget denials.
+func (b *builtCell) result() CellResult {
+	res := b.m.Solve()
+	out := CellResult{Cell: b.cell, Res: res}
+	var fpSum float64
+	var calls heap.Stats
+	for i, rt := range b.rts {
+		fpSum += rt.AvgFootprint()
+		after := rt.Generator().Stats()
+		calls.Mallocs += after.Mallocs - b.callsBefore[i].Mallocs
+		calls.Frees += after.Frees - b.callsBefore[i].Frees
+		calls.Reallocs += after.Reallocs - b.callsBefore[i].Reallocs
+		calls.BytesRequested += after.BytesRequested - b.callsBefore[i].BytesRequested
+		calls.BytesAllocated += after.BytesAllocated - b.callsBefore[i].BytesAllocated
+		calls.Bailouts += after.Bailouts - b.callsBefore[i].Bailouts
+	}
+	out.Footprint = fpSum / float64(len(b.rts))
+	out.Calls = calls
+	out.TxnsPerStream = float64(res.Txns) / float64(len(b.rts))
+	for _, as := range b.spaces {
+		out.BudgetDenials += as.BudgetDenials()
+	}
+	return out
+}
+
+// recordMemStats publishes a DRAM-backed cell's row-buffer counters.
+func (r *Runner) recordMemStats(ms *memsys.Stats) {
+	if ms == nil || !r.Tel.Enabled() {
+		return
+	}
+	met := r.Tel.Metrics()
+	lbl := telemetry.Labels{"policy": ms.Policy}
+	met.Counter("webmm_dram_row_hits_total",
+		"DRAM requests served from an open row, by scheduling policy", lbl).Add(ms.RowHits)
+	met.Counter("webmm_dram_row_conflicts_total",
+		"DRAM requests that closed another bank row first, by scheduling policy", lbl).Add(ms.RowConflicts)
+	met.Counter("webmm_dram_row_closed_total",
+		"DRAM requests that found their bank precharged, by scheduling policy", lbl).Add(ms.RowClosed)
+	met.Gauge("webmm_dram_bank_queue_depth_max",
+		"deepest per-bank request queue observed in the last DRAM-backed cell", lbl).Set(float64(ms.MaxQueueDepth))
 }
 
 // teeRecorder fans one stream's allocation-size reports out to both the

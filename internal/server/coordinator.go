@@ -8,8 +8,8 @@
 // reliability moves on top:
 //
 //   - failover: a worker that cannot be reached, turns the request away, or
-//     answers for a different cell costs one immediate retry on the next
-//     shard, not a failed cell;
+//     answers for a different cell or under a different config costs one
+//     immediate retry on the next shard, not a failed cell;
 //   - hedging: a cell that exceeds HedgeAfter × the observed p50 cell time
 //     (the same webmm_cell_seconds histogram the Retry-After estimate uses)
 //     is launched on a second shard and the first answer wins. The loser's
@@ -128,13 +128,13 @@ func (e *remoteFailure) Unwrap() error {
 // cell goes verbatim (the "cell" field — RestartEvery is already scaled,
 // Budget already set), and every config field is sent explicitly so the
 // worker simulates under the coordinator's configuration, not its own
-// defaults. Fidelity spells the zero value out as "full" for the same
-// reason.
+// defaults: Warmup even when 0, and Fidelity with the zero value spelled
+// out as "full". call still checks the config the worker echoes back.
 func (f *fleet) workerBody(k runnerKey, c experiments.Cell) []byte {
 	req := runRequest{
 		CellSpec:       &c,
 		Scale:          k.cfg.Scale,
-		Warmup:         k.cfg.Warmup,
+		Warmup:         &k.cfg.Warmup,
 		Measure:        k.cfg.Measure,
 		Seed:           k.cfg.Seed,
 		XeonLargePages: k.cfg.XeonLargePages,
@@ -172,7 +172,7 @@ func (f *fleet) exec(ctx context.Context, k runnerKey, c experiments.Cell) (expe
 		met.Counter("webmm_fleet_dispatch_total",
 			"cells dispatched to fleet workers", telemetry.Labels{"worker": f.workers[w]}).Inc()
 		go func() {
-			res, err := f.call(ctx, w, body, c)
+			res, err := f.call(ctx, w, body, k.cfg, c)
 			ch <- answer{res, err, w}
 		}()
 	}
@@ -232,12 +232,14 @@ func (f *fleet) exec(ctx context.Context, k runnerKey, c experiments.Cell) (expe
 	}
 }
 
-// call executes cell c on one worker and decodes its NDJSON stream down to
-// the final "result" event. Non-200 statuses, truncated streams and a result
-// for any cell other than c are transport errors (the caller may fail over
-// or hedge, and never memoizes or caches them); a decoded result for c with
-// Failed set comes back as a remoteFailure.
-func (f *fleet) call(ctx context.Context, w int, body []byte, c experiments.Cell) (experiments.CellResult, error) {
+// call executes cell c under cfg on one worker and decodes its NDJSON
+// stream down to the final "result" event. Non-200 statuses, truncated
+// streams, and a result for any cell other than c or under any config other
+// than cfg (a worker at the Degrade rung runs sampled; one started with
+// other defaults runs those) are transport errors: the caller may fail over
+// or hedge, and never memoizes or caches them. A decoded result for c under
+// cfg with Failed set comes back as a remoteFailure.
+func (f *fleet) call(ctx context.Context, w int, body []byte, cfg experiments.Config, c experiments.Cell) (experiments.CellResult, error) {
 	worker := f.workers[w]
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/run", bytes.NewReader(body))
 	if err != nil {
@@ -258,6 +260,7 @@ func (f *fleet) call(ctx context.Context, w int, body []byte, c experiments.Cell
 		Error         string                  `json:"error"`
 		Environmental bool                    `json:"environmental"`
 		Result        *experiments.CellResult `json:"result"`
+		Config        *experiments.Config     `json:"config"`
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), maxCacheEntryLine)
@@ -265,7 +268,7 @@ func (f *fleet) call(ctx context.Context, w int, body []byte, c experiments.Cell
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		line.Error, line.Environmental, line.Result = "", false, nil
+		line.Error, line.Environmental, line.Result, line.Config = "", false, nil, nil
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			return experiments.CellResult{}, fmt.Errorf("worker %s: bad progress line: %w", worker, err)
 		}
@@ -273,9 +276,9 @@ func (f *fleet) call(ctx context.Context, w int, body []byte, c experiments.Cell
 			continue
 		}
 		res := *line.Result
-		if res.Cell != c {
-			return experiments.CellResult{}, fmt.Errorf("worker %s: result for cell %s, dispatched %s",
-				worker, res.Cell.Key(), c.Key())
+		if res.Cell != c || line.Config == nil || *line.Config != cfg {
+			return experiments.CellResult{}, fmt.Errorf("worker %s: result for cell %s under %+v, dispatched %s under %+v",
+				worker, res.Cell.Key(), line.Config, c.Key(), cfg)
 		}
 		if res.Failed {
 			msg := line.Error

@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"webmm/internal/budget"
 	"webmm/internal/experiments"
+	"webmm/internal/mem"
 )
 
 // newWorker builds one in-process worker instance: a real Server sharing
@@ -397,14 +399,19 @@ func TestFleetFailsOverDeadShard(t *testing.T) {
 }
 
 // TestFleetTransientFailureNotPoisoned: when no shard gives a usable answer
-// — every shard is unreachable, or the only one answers for a different
-// cell — the cell fails with a transient verdict that is NOT memoized: once
-// the shard recovers, the same request succeeds without restarting the
-// coordinator.
+// — every shard is unreachable, the only one answers for a different cell,
+// or it answers under a different config (a worker at the Degrade rung
+// runs sampled fidelity) — the cell fails with a transient verdict that is
+// NOT memoized: once the shard recovers, the same request succeeds without
+// restarting the coordinator.
 func TestFleetTransientFailureNotPoisoned(t *testing.T) {
-	for _, mode := range []string{"down", "lying"} {
+	for _, mode := range []string{"down", "lying", "degraded"} {
 		t.Run(mode, func(t *testing.T) {
-			w, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim()})
+			wcfg := Config{Jobs: 2, QueueDepth: 16, Sim: testSim()}
+			if mode == "degraded" {
+				wcfg.GlobalBudget = 100 * mem.MiB
+			}
+			w, err := New(wcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -415,7 +422,7 @@ func TestFleetTransientFailureNotPoisoned(t *testing.T) {
 			liar := lyingShard(h)
 			ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 				switch {
-				case !faulty.Load():
+				case !faulty.Load() || mode == "degraded":
 					h.ServeHTTP(rw, r)
 				case mode == "lying":
 					liar.ServeHTTP(rw, r)
@@ -426,6 +433,28 @@ func TestFleetTransientFailureNotPoisoned(t *testing.T) {
 				}
 			}))
 			defer ts.Close()
+
+			waitPressure := func(ok func(float64) bool) {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for !ok(w.budget.Pressure()) {
+					if time.Now().After(deadline) {
+						t.Fatalf("worker pressure stuck at %.2f", w.budget.Pressure())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			var lease *budget.Lease
+			if mode == "degraded" {
+				// An external tenant holding 75% of the worker's budget puts
+				// it at the Degrade rung: it still answers, at sampled
+				// fidelity.
+				as := mem.NewAddressSpace(1<<32, mem.GiB, mem.LargePageShiftXeon)
+				as.Map(75*mem.MiB, mem.KiB, mem.SmallPages)
+				lease = w.budget.Admit("external-tenant", []*mem.AddressSpace{as})
+				defer lease.Release()
+				waitPressure(func(p float64) bool { return p >= 0.70 })
+			}
 
 			coord, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim(),
 				Workers: []string{ts.URL}, HedgeAfter: -1})
@@ -446,6 +475,10 @@ func TestFleetTransientFailureNotPoisoned(t *testing.T) {
 			}
 
 			faulty.Store(false)
+			if lease != nil {
+				lease.Release()
+				waitPressure(func(p float64) bool { return p < 0.70 })
+			}
 			code, lines = postRun(t, tsc.URL, body)
 			if code != http.StatusOK {
 				t.Fatalf("status %d after recovery", code)
@@ -459,5 +492,44 @@ func TestFleetTransientFailureNotPoisoned(t *testing.T) {
 				t.Fatal("recovered result differs from direct run")
 			}
 		})
+	}
+}
+
+// TestFleetPinsZeroWarmup: a coordinator at warmup 0 dispatches warmup 0
+// explicitly, so a worker started with another warmup default simulates
+// the coordinator's config, and the fleet's answer equals a direct
+// warmup-0 run. (Before warmup was a pointer, omitempty dropped the 0 and
+// the worker ran its own default.)
+func TestFleetPinsZeroWarmup(t *testing.T) {
+	w, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	cfg := testSim()
+	cfg.Warmup = 0
+	if cfg.Warmup == w.cfg.Sim.Warmup {
+		t.Fatal("worker and coordinator share a warmup default; the test needs them apart")
+	}
+	coord, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: cfg,
+		Workers: []string{ts.URL}, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	tsc := httptest.NewServer(coord.Handler())
+	defer tsc.Close()
+
+	code, lines := postRun(t, tsc.URL, `{"platform":"xeon","alloc":"ddmalloc","workload":"phpBB","cores":2}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	got := resultOf(t, lines)
+	want := experiments.NewRunner(cfg).Run(experiments.Cell{Platform: "xeon", Alloc: "ddmalloc", Workload: "phpBB", Cores: 2})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet result at coordinator warmup 0 differs from a direct warmup-0 run (failed %v, %.2f vs %.2f txn/s)",
+			got.Failed, got.Res.Throughput, want.Res.Throughput)
 	}
 }

@@ -29,11 +29,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"webmm/internal/apprt"
 	"webmm/internal/budget"
 	"webmm/internal/experiments"
-	"webmm/internal/machine"
-	"webmm/internal/memsys"
 	"webmm/internal/telemetry"
 	"webmm/internal/workload"
 )
@@ -70,8 +67,9 @@ type Config struct {
 	// /run plans work with the ordinary planners but executes every cell
 	// remotely on these worker base URLs (fanning experiments out in
 	// parallel), with failover and hedged retries. The workers are plain
-	// webmm serve instances and must be launched with the same simulation
-	// defaults as the coordinator.
+	// webmm serve instances; every dispatch carries the coordinator's
+	// config and every result echoes the worker's, so a worker's own
+	// defaults never decide a cell.
 	Workers []string
 	// HedgeAfter is the multiple of the observed p50 cell wall time after
 	// which a dispatched cell is hedged onto a second shard (coordinator
@@ -181,20 +179,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Sim.Scale == 0 {
 		cfg.Sim.Scale = def.Scale
 	}
-	if cfg.Sim.Scale < 1 || cfg.Sim.Scale&(cfg.Sim.Scale-1) != 0 {
-		return nil, fmt.Errorf("server: scale %d must be a power of two", cfg.Sim.Scale)
-	}
 	if cfg.Sim.Measure == 0 {
 		cfg.Sim.Warmup, cfg.Sim.Measure = def.Warmup, def.Measure
 	}
 	if cfg.Sim.Seed == 0 {
 		cfg.Sim.Seed = def.Seed
 	}
-	fid, err := canonFidelity(cfg.Sim.Fidelity)
-	if err != nil {
+	if err := cfg.Sim.Validate(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	cfg.Sim.Fidelity = fid
 	s := &Server{
 		cfg:     cfg,
 		tel:     cfg.Tel,
@@ -235,21 +228,6 @@ func New(cfg Config) (*Server, error) {
 		go s.worker()
 	}
 	return s, nil
-}
-
-// canonFidelity validates a measurement-fidelity name before it can
-// reach experiments.NewRunner (which panics on unknown names), and maps
-// the explicit "full" spelling to the zero value so equivalent
-// configurations share one runner in the runnerKey map.
-func canonFidelity(name string) (string, error) {
-	switch name {
-	case "", experiments.FidelityFull:
-		return "", nil
-	case experiments.FidelitySampled:
-		return name, nil
-	}
-	return "", fmt.Errorf("unknown fidelity %q (want %q or %q)",
-		name, experiments.FidelityFull, experiments.FidelitySampled)
 }
 
 // Close drains the worker pool: no new jobs are admitted, queued and
@@ -422,11 +400,14 @@ type runRequest struct {
 	MemSched string `json:"memsched,omitempty"`
 	// RestartEvery is the Ruby restart period in the paper's full-scale
 	// transactions (0 = never); it is rescaled exactly like the figures.
+	// A negative period, or one on a PHP cell, is a 400.
 	RestartEvery int `json:"restart_every,omitempty"`
 
-	// Config overrides (0 = server default).
+	// Config overrides (0 = server default). Warmup is a pointer so an
+	// explicit 0 means no warmup rather than the default; absent keeps
+	// the default.
 	Scale          int    `json:"scale,omitempty"`
-	Warmup         int    `json:"warmup,omitempty"`
+	Warmup         *int   `json:"warmup,omitempty"`
 	Measure        int    `json:"measure,omitempty"`
 	Seed           uint64 `json:"seed,omitempty"`
 	XeonLargePages bool   `json:"xeon_large_pages,omitempty"`
@@ -476,7 +457,9 @@ func (j *job) execute() {
 	j.emit(event{"event": "running"})
 	if !j.isExp {
 		res := j.r.RunContext(j.ctx, j.cell)
-		e := event{"event": "result", "cell": j.cell.Key(), "failed": res.Failed, "result": res}
+		// The config echo lets a fleet coordinator refuse a result this
+		// instance simulated under anything but what it dispatched.
+		e := event{"event": "result", "cell": j.cell.Key(), "failed": res.Failed, "result": res, "config": j.r.Cfg}
 		if res.Failed {
 			// A fleet coordinator on the other end of this stream needs to
 			// know whether the failure was the cell's own (final — retrying
@@ -575,22 +558,17 @@ func (j *job) failure(c experiments.Cell) (msg string, environmental bool, ok bo
 }
 
 // buildJob validates a request and resolves its runner. Validation happens
-// before admission so a bad request costs a 400, never a queue slot.
+// before admission so a bad request costs a 400, never a queue slot: the
+// config through Config.Validate, the cell through Cell.Validate.
 func (s *Server) buildJob(ctx context.Context, req runRequest) (*job, error) {
 	cfg := s.cfg.Sim
 	if req.Scale != 0 {
-		if req.Scale < 1 || req.Scale&(req.Scale-1) != 0 {
-			return nil, fmt.Errorf("scale %d must be a power of two", req.Scale)
-		}
 		cfg.Scale = req.Scale
 	}
-	if req.Warmup != 0 {
-		cfg.Warmup = req.Warmup
+	if req.Warmup != nil {
+		cfg.Warmup = *req.Warmup
 	}
 	if req.Measure != 0 {
-		if req.Measure < 1 {
-			return nil, fmt.Errorf("measure %d must be >= 1", req.Measure)
-		}
 		cfg.Measure = req.Measure
 	}
 	if req.Seed != 0 {
@@ -602,19 +580,14 @@ func (s *Server) buildJob(ctx context.Context, req runRequest) (*job, error) {
 	if req.Fidelity != "" {
 		cfg.Fidelity = req.Fidelity
 	}
-	fid, err := canonFidelity(cfg.Fidelity)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Fidelity = fid
 	timeout := s.cfg.CellTimeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; timeout == 0 || d < timeout {
 			timeout = d
 		}
-	}
-	if _, err := experiments.ParseFaults(req.Faults); err != nil {
-		return nil, err
 	}
 	r, err := s.runnerFor(runnerKey{cfg: cfg, faults: req.Faults, timeout: timeout})
 	if err != nil {
@@ -635,77 +608,32 @@ func (s *Server) buildJob(ctx context.Context, req runRequest) (*job, error) {
 		}
 		return j, nil
 	}
+	var c experiments.Cell
 	if req.CellSpec != nil {
-		c := *req.CellSpec
-		if c.Platform == "" {
-			c.Platform = "xeon"
+		c = *req.CellSpec
+	} else {
+		if req.Workload == "" && req.Ruby {
+			req.Workload = workload.Rails().Name
 		}
-		if c.Cores == 0 {
-			c.Cores = 8
+		// The flat restart period is in the paper's full-scale
+		// transactions and is rescaled exactly like the figures.
+		c = experiments.Cell{
+			Platform: req.Platform, Alloc: req.Alloc, Workload: req.Workload,
+			Cores: req.Cores, Ruby: req.Ruby, RestartEvery: r.RubyRestartPeriod(req.RestartEvery),
+			MemSched: req.MemSched,
 		}
-		if err := validateCell(c); err != nil {
-			return nil, err
-		}
-		j.cell = c
-		return j, nil
 	}
-	if req.Alloc == "" || req.Workload == "" && !req.Ruby {
-		return nil, errors.New(`request needs "experiment", "cell", or "alloc"+"workload"`)
+	if c.Platform == "" {
+		c.Platform = "xeon"
 	}
-	if req.Platform == "" {
-		req.Platform = "xeon"
+	if c.Cores == 0 {
+		c.Cores = 8
 	}
-	if req.Cores == 0 {
-		req.Cores = 8
-	}
-	if req.Workload == "" && req.Ruby {
-		req.Workload = workload.Rails().Name
-	}
-	restart := 0
-	if req.Ruby {
-		restart = r.RubyRestartPeriod(req.RestartEvery)
-	}
-	c := experiments.Cell{
-		Platform: req.Platform, Alloc: req.Alloc, Workload: req.Workload,
-		Cores: req.Cores, Ruby: req.Ruby, RestartEvery: restart,
-		MemSched: req.MemSched,
-	}
-	if err := validateCell(c); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	j.cell = c
 	return j, nil
-}
-
-// validateCell rejects cells naming unknown platforms, workloads,
-// allocators, or scheduling policies, a core count the platform does not
-// have, and an allocator the cell's runtime cannot run — before admission,
-// so a bad request costs a 400, never a queue slot. It decides from
-// registry facts alone and constructs no allocator or machine: it runs on
-// every single-cell request, on the coordinator and again on the worker.
-func validateCell(c experiments.Cell) error {
-	if c.Alloc == "" || c.Workload == "" {
-		return errors.New(`cell needs "alloc" and "workload"`)
-	}
-	p, err := machine.PlatformByName(c.Platform)
-	if err != nil {
-		return err
-	}
-	if c.Cores < 1 || c.Cores > p.MaxCores {
-		return fmt.Errorf("cores %d outside 1..%d on %s", c.Cores, p.MaxCores, p.Name)
-	}
-	if _, err := workload.ByName(c.Workload); err != nil {
-		return err
-	}
-	if _, err := apprt.RuntimeAllocator(c.Alloc, c.Ruby); err != nil {
-		return err
-	}
-	if c.MemSched != "" {
-		if _, err := memsys.PolicyByName(memsys.PolicyName(c.MemSched)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // pressureLevel is the current rung of the admission ladder; Nominal

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -319,6 +320,20 @@ func TestServeBadRequests(t *testing.T) {
 		`{"alloc":"ddmalloc","workload":"phpBB","cores":9}`,
 		`{"alloc":"region","ruby":true}`,
 		`{"alloc":"glibc","workload":"phpBB"}`,
+		// Rounds that used to be admitted: a negative warmup got a runner
+		// and cache key of its own for the warmup-0 result, and measure 0
+		// or below cached a zero-transaction result.
+		`{"alloc":"default","workload":"phpBB","warmup":-1}`,
+		`{"alloc":"default","workload":"phpBB","measure":-2}`,
+		`{"alloc":"default","workload":"phpBB","scale":-4}`,
+		// Restart periods, in the flat and the verbatim form: a negative
+		// period (it used to run at period 2, or never restart), and a
+		// period on a PHP cell (it used to get a memo and cache entry of
+		// its own).
+		`{"alloc":"glibc","ruby":true,"restart_every":-1}`,
+		`{"cell":{"Platform":"xeon","Alloc":"glibc","Workload":"RubyOnRails","Cores":8,"Ruby":true,"RestartEvery":-5}}`,
+		`{"alloc":"default","workload":"phpBB","restart_every":7}`,
+		`{"cell":{"Platform":"xeon","Alloc":"default","Workload":"phpBB","Cores":8,"RestartEvery":7}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -342,17 +357,44 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
-// TestValidateCellConstructsNothing: single-cell admission decides from
-// registry lookups. Building an allocator to read its code size (a 64 GiB
-// address space, an event buffer and DDmalloc's segment table, 28
-// allocations per call) must not come back onto this per-request path.
-func TestValidateCellConstructsNothing(t *testing.T) {
-	c := experiments.Cell{Platform: "xeon", Alloc: "ddmalloc", Workload: "phpBB", Cores: 8}
-	if err := validateCell(c); err != nil {
+// TestBuildJobRestartPeriods: the flat restart period is rescaled like the
+// figures' (500 at scale 64 is 62), and a period too large to scale
+// saturates to no restart within the run instead of wrapping to the
+// minimum period 2.
+func TestBuildJobRestartPeriods(t *testing.T) {
+	s, err := New(Config{Jobs: 1, Sim: testSim()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = validateCell(c) }); n > 6 {
-		t.Errorf("validateCell made %.0f allocations per call, want at most 6", n)
+	defer s.Close()
+	for period, want := range map[int]int{
+		500:                 62,
+		2305843009213693952: math.MaxInt / 8 * 8 / 64,
+	} {
+		j, err := s.buildJob(context.Background(), runRequest{Alloc: "glibc", Ruby: true, RestartEvery: period})
+		if err != nil {
+			t.Fatalf("restart_every %d: %v", period, err)
+		}
+		if got := j.cell.RestartEvery; got != want {
+			t.Errorf("restart_every %d maps to period %d, want %d", period, got, want)
+		}
+	}
+}
+
+// TestNewRejectsBadRounds: the server's default config goes through
+// Config.Validate, so `webmm serve -warmup -4` or `-measure -2` fails at
+// startup instead of serving requests under it.
+func TestNewRejectsBadRounds(t *testing.T) {
+	for _, sim := range []experiments.Config{
+		{Scale: 64, Warmup: -4, Measure: 1},
+		{Scale: 64, Warmup: 1, Measure: -2},
+		{Scale: 3, Warmup: 1, Measure: 1},
+		{Scale: 64, Warmup: 1, Measure: 1, Fidelity: "bogus"},
+	} {
+		if s, err := New(Config{Jobs: 1, Sim: sim}); err == nil {
+			s.Close()
+			t.Errorf("New accepted Sim %+v", sim)
+		}
 	}
 }
 

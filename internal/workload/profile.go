@@ -70,9 +70,12 @@ func Profiles() []Profile {
 	}
 }
 
+// byName is every profile ByName resolves: the PHP workloads and Rails.
+var byName = append(Profiles(), Rails())
+
 // ByName returns the named profile (case-sensitive, as printed in reports).
 func ByName(name string) (Profile, error) {
-	for _, p := range append(Profiles(), Rails()) {
+	for _, p := range byName {
 		if p.Name == name {
 			return p, nil
 		}
@@ -87,9 +90,9 @@ func MediaWikiRO() Profile {
 		Name: "MediaWiki(ro)", Version: "1.9.3",
 		Desc:    "wiki server, read-only article views",
 		Mallocs: 151770, Frees: 129141, Reallocs: 6147, AvgSize: 62.1,
-		AppInstr:     52_000_000,
-		AppDataBytes: 8 * mem.MiB,
-		OutputKB:     64,
+		AppInstr:       52_000_000,
+		AppDataBytes:   8 * mem.MiB,
+		OutputKB:       64,
 		PaperXeon1Core: 25.3,
 	}
 }
@@ -101,9 +104,9 @@ func MediaWikiRW() Profile {
 		Name: "MediaWiki(rw)", Version: "1.9.3",
 		Desc:    "wiki server, 20% of transactions edit articles",
 		Mallocs: 404983, Frees: 354775, Reallocs: 22371, AvgSize: 66.7,
-		AppInstr:     112_000_000,
-		AppDataBytes: 8 * mem.MiB,
-		OutputKB:     72,
+		AppInstr:       112_000_000,
+		AppDataBytes:   8 * mem.MiB,
+		OutputKB:       72,
 		PaperXeon1Core: 11.7,
 	}
 }
@@ -115,9 +118,9 @@ func SugarCRM() Profile {
 		Name: "SugarCRM", Version: "4.5.1",
 		Desc:    "CRM system, AJAX customer lookups",
 		Mallocs: 276853, Frees: 225800, Reallocs: 3120, AvgSize: 49.3,
-		AppInstr:     66_000_000,
-		AppDataBytes: 6 * mem.MiB,
-		OutputKB:     32,
+		AppInstr:       66_000_000,
+		AppDataBytes:   6 * mem.MiB,
+		OutputKB:       32,
 		PaperXeon1Core: 19.4,
 	}
 }
@@ -128,9 +131,9 @@ func EZPublish() Profile {
 		Name: "eZPublish", Version: "4.0.0",
 		Desc:    "CMS, random article reads with sessions",
 		Mallocs: 123019, Frees: 109856, Reallocs: 4646, AvgSize: 78.6,
-		AppInstr:     46_000_000,
-		AppDataBytes: 8 * mem.MiB,
-		OutputKB:     56,
+		AppInstr:       46_000_000,
+		AppDataBytes:   8 * mem.MiB,
+		OutputKB:       56,
 		PaperXeon1Core: 28.5,
 	}
 }
@@ -141,9 +144,9 @@ func PhpBB() Profile {
 		Name: "phpBB", Version: "3.0.1",
 		Desc:    "web forum, reading posts",
 		Mallocs: 46965, Frees: 43267, Reallocs: 1003, AvgSize: 56.3,
-		AppInstr:     20_500_000,
-		AppDataBytes: 4 * mem.MiB,
-		OutputKB:     40,
+		AppInstr:       20_500_000,
+		AppDataBytes:   4 * mem.MiB,
+		OutputKB:       40,
 		PaperXeon1Core: 62.6,
 	}
 }
@@ -155,9 +158,9 @@ func CakePHP() Profile {
 		Name: "CakePHP", Version: "1.2.0.7296",
 		Desc:    "framework app: list/select/update records",
 		Mallocs: 99195, Frees: 82645, Reallocs: 3574, AvgSize: 68.6,
-		AppInstr:     46_000_000,
-		AppDataBytes: 4 * mem.MiB,
-		OutputKB:     24,
+		AppInstr:       46_000_000,
+		AppDataBytes:   4 * mem.MiB,
+		OutputKB:       24,
 		PaperXeon1Core: 28.3,
 	}
 }
@@ -169,9 +172,9 @@ func SPECweb() Profile {
 		Name: "SPECweb2005", Version: "1.10",
 		Desc:    "industry benchmark, eCommerce scenario",
 		Mallocs: 3277, Frees: 2383, Reallocs: 106, AvgSize: 175.6,
-		AppInstr:     6_500_000,
-		AppDataBytes: 2 * mem.MiB,
-		OutputKB:     128,
+		AppInstr:       6_500_000,
+		AppDataBytes:   2 * mem.MiB,
+		OutputKB:       128,
 		PaperXeon1Core: 188.6,
 	}
 }
@@ -184,9 +187,9 @@ func Rails() Profile {
 		Name: "RubyOnRails", Version: "1.2.3",
 		Desc:    "Rails telephone directory (Ruby study)",
 		Mallocs: 120000, Frees: 99600, Reallocs: 2400, AvgSize: 58.0,
-		AppInstr:     58_000_000,
-		AppDataBytes: 10 * mem.MiB,
-		OutputKB:     24,
+		AppInstr:       58_000_000,
+		AppDataBytes:   10 * mem.MiB,
+		OutputKB:       24,
 		PaperXeon1Core: 0, // the paper reports only 8-core bars for Ruby
 	}
 }

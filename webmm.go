@@ -143,11 +143,6 @@ func Allocators() []AllocatorInfo {
 	return out
 }
 
-// AllocatorNames lists the allocator names.
-//
-// Deprecated: use Allocators, which also carries docs and study membership.
-func AllocatorNames() []string { return apprt.AllocatorNames() }
-
 // ExperimentName names one of the paper's tables or figures.
 type ExperimentName string
 
@@ -385,13 +380,7 @@ func WithMemSchedPolicy(name MemSchedPolicyName) StudyOption {
 // WithScale sets the workload scale divisor (a power of two; 1 is paper
 // scale, larger is faster and coarser). The default is 32.
 func WithScale(scale int) StudyOption {
-	return func(c *studyConfig) error {
-		if scale < 1 || scale&(scale-1) != 0 {
-			return fmt.Errorf("webmm: scale %d must be a power of two", scale)
-		}
-		c.cfg.Scale = scale
-		return nil
-	}
+	return func(c *studyConfig) error { c.cfg.Scale = scale; return nil }
 }
 
 // WithSeed sets the seed all simulation randomness derives from.
@@ -399,15 +388,10 @@ func WithSeed(seed uint64) StudyOption {
 	return func(c *studyConfig) error { c.cfg.Seed = seed; return nil }
 }
 
-// WithRounds sets warmup and measured transactions per stream.
+// WithRounds sets warmup (at least 0) and measured (at least 1)
+// transactions per stream.
 func WithRounds(warmup, measure int) StudyOption {
-	return func(c *studyConfig) error {
-		if warmup < 0 || measure < 1 {
-			return fmt.Errorf("webmm: invalid rounds warmup=%d measure=%d", warmup, measure)
-		}
-		c.cfg.Warmup, c.cfg.Measure = warmup, measure
-		return nil
-	}
+	return func(c *studyConfig) error { c.cfg.Warmup, c.cfg.Measure = warmup, measure; return nil }
 }
 
 // WithJobs sets the worker count for experiment cell fan-out (1 = serial;
@@ -454,16 +438,7 @@ func WithContext(ctx context.Context) StudyOption {
 // accurate to within a couple of percent; they are cache-keyed separately
 // from full runs, so the two modes never serve each other stale results.
 func WithFidelity(name string) StudyOption {
-	return func(c *studyConfig) error {
-		switch name {
-		case "", experiments.FidelityFull, experiments.FidelitySampled:
-			c.cfg.Fidelity = name
-			return nil
-		default:
-			return fmt.Errorf("webmm: unknown fidelity %q (want %q or %q)",
-				name, experiments.FidelityFull, experiments.FidelitySampled)
-		}
-	}
+	return func(c *studyConfig) error { c.cfg.Fidelity = name; return nil }
 }
 
 // WithXeonLargePages enables DDmalloc's large-page optimization on Xeon
@@ -503,7 +478,8 @@ func WithPressurePolicy(p PressurePolicy) StudyOption {
 // NewStudy builds a study runner from options; the defaults are the
 // interactive configuration (scale 32, 2 warmup + 3 measured transactions,
 // the paper's seed, Xeon, GOMAXPROCS jobs, no cache, no faults, telemetry
-// off).
+// off). The scale, rounds and fidelity the options set are checked once,
+// together, here.
 func NewStudy(opts ...StudyOption) (*Study, error) {
 	c := studyConfig{
 		cfg:      experiments.DefaultConfig(),
@@ -514,6 +490,9 @@ func NewStudy(opts ...StudyOption) (*Study, error) {
 		if err := opt(&c); err != nil {
 			return nil, err
 		}
+	}
+	if err := c.cfg.Validate(); err != nil {
+		return nil, err
 	}
 	r := experiments.NewRunner(c.cfg)
 	if c.cacheDir != "" {
@@ -586,9 +565,9 @@ type CellOutcome struct {
 	Calls AllocStats
 }
 
-// Cell simulates one cell (memoized within the study). A cell whose
-// simulation fails — panic, timeout, configuration error — is surfaced as
-// an error rather than zeros.
+// Cell simulates one cell (memoized within the study). An invalid cell is
+// rejected before it runs, and a cell whose simulation fails — panic,
+// timeout — is surfaced as an error rather than zeros.
 func (s *Study) Cell(spec CellSpec) (CellOutcome, error) {
 	if spec.Platform == "" {
 		spec.Platform = s.platform
@@ -599,25 +578,20 @@ func (s *Study) Cell(spec CellSpec) (CellOutcome, error) {
 	if spec.Workload == "" && spec.Ruby {
 		spec.Workload = workload.Rails().Name
 	}
-	restart := 0
-	if spec.Ruby {
-		restart = s.r.RubyRestartPeriod(spec.RestartEvery)
-	}
 	memsched := spec.MemSched
 	switch memsched {
 	case "":
 		memsched = s.memsched
 	case "bus":
 		memsched = ""
-	default:
-		if _, err := memsys.PolicyByName(memsys.PolicyName(memsched)); err != nil {
-			return CellOutcome{}, err
-		}
 	}
 	cell := experiments.Cell{
 		Platform: spec.Platform, Alloc: string(spec.Alloc), Workload: spec.Workload,
-		Cores: spec.Cores, Ruby: spec.Ruby, RestartEvery: restart,
+		Cores: spec.Cores, Ruby: spec.Ruby, RestartEvery: s.r.RubyRestartPeriod(spec.RestartEvery),
 		Budget: spec.Budget, MemSched: memsched,
+	}
+	if err := cell.Validate(); err != nil {
+		return CellOutcome{}, err
 	}
 	cr := s.r.Run(cell)
 	if cr.Failed {
@@ -686,10 +660,6 @@ func (s *Study) Failures() []error {
 	return out
 }
 
-// Runner exposes the underlying experiment runner for figure-level APIs
-// (experiments.Fig5, experiments.Table4, ...).
-func (s *Study) Runner() *experiments.Runner { return s.r }
-
 // Close stops the study's budget controller (if any) and finalizes its
 // telemetry: it assembles the run manifest (experiments run, per-cell
 // accounting, cache behaviour, failures), stamps it, and closes the
@@ -707,23 +677,6 @@ func (s *Study) Close() error {
 	s.tel.SetManifest(m)
 	return s.tel.Close()
 }
-
-// ---------------------------------------------------------------------------
-// Deprecated surface. The PR-4 study shims (NewStudyFromConfig, Compare,
-// RunCell, RunRubyCell) have been removed — build a Study with NewStudy and
-// use Cell/CompareAllocators. The raw configuration type remains for
-// callers that inspect defaults.
-
-// StudyConfig controls simulation scale and measurement length; see
-// internal/experiments.Config.
-//
-// Deprecated: configure a Study with NewStudy options instead.
-type StudyConfig = experiments.Config
-
-// DefaultStudyConfig is sized for interactive use (coarse scale).
-//
-// Deprecated: NewStudy() with no options is the same configuration.
-func DefaultStudyConfig() StudyConfig { return experiments.DefaultConfig() }
 
 // NewReportTable creates an aligned text/CSV table (re-exported for
 // examples and tools building custom reports).

@@ -127,6 +127,9 @@ func TestStudyOptionValidation(t *testing.T) {
 	if _, err := webmm.NewStudy(webmm.WithRounds(0, 0)); err == nil {
 		t.Error("WithRounds(0,0) accepted; want at least one measured round")
 	}
+	if _, err := webmm.NewStudy(webmm.WithFidelity("bogus")); err == nil {
+		t.Error("WithFidelity(bogus) accepted; want unknown-fidelity error")
+	}
 	if _, err := webmm.NewStudy(webmm.WithMemorySystem("hbm")); err == nil {
 		t.Error("WithMemorySystem(hbm) accepted; want unknown-memory-system error")
 	}
