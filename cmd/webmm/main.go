@@ -50,11 +50,11 @@
 // graceful-degradation admission ladder.
 //
 // Each experiment's cells are enumerated by its planner and simulated by a
-// worker pool of -jobs goroutines before the tables render; cells are
-// independently seeded, so the parallel results are bit-identical to
-// -jobs 1, which runs exactly the historical serial loop. With -cellcache,
-// finished cells are persisted (keyed by config and simulator version) and
-// reloaded by later runs.
+// worker pool of -jobs goroutines before the tables render; cells that
+// differ only in -memsched share one pricing pass. Cells are independently
+// seeded, so the parallel results are bit-identical to -jobs 1, the serial
+// loop. With -cellcache, finished cells are persisted (keyed by config and
+// simulator version) and reloaded by later runs.
 package main
 
 import (
@@ -276,7 +276,7 @@ func runExperiment(r *experiments.Runner, name string, jobs int, csv bool, cell 
 	if err != nil {
 		return err
 	}
-	if d.Cells != nil && jobs != 1 {
+	if d.Cells != nil {
 		if cells := d.Cells(r); len(cells) > 0 {
 			r.RunAll(cells, jobs)
 		}

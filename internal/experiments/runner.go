@@ -311,8 +311,13 @@ type Runner struct {
 
 // cellAccount records how one cell was executed (not what it computed).
 type cellAccount struct {
-	wallMS float64
+	// wall is the cell's host time; a cell that shared its pricing pass
+	// gets an equal share of the pass.
+	wall   time.Duration
 	cached bool
+	// shared counts the cells priced by the same pass, 0 for a cell
+	// simulated alone.
+	shared int
 }
 
 // inflightCell tracks one in-progress simulation so racing callers wait for
@@ -403,75 +408,135 @@ func (r *Runner) RunContext(ctx context.Context, c Cell) CellResult {
 		fl := &inflightCell{done: make(chan struct{})}
 		r.inflight[c] = fl
 		r.mu.Unlock()
-		return r.lead(ctx, c, fl)
+		return r.lead(ctx, []Cell{c}, []*inflightCell{fl})[0]
 	}
 }
 
-// lead runs one cell as the singleflight leader and publishes the result to
-// any waiters.
-func (r *Runner) lead(ctx context.Context, c Cell, fl *inflightCell) CellResult {
-	span := r.Tel.Tracer().StartSpan("cell "+c.Key(), "cell")
-	span.Arg("platform", c.Platform)
-	span.Arg("alloc", c.Alloc)
-	span.Arg("workload", c.Workload)
-	span.Arg("cores", c.Cores)
-	start := time.Now()
-
+// lead resolves cells as their singleflight leader and publishes each
+// result to its waiters; fls[i] is the inflight entry claimed for cells[i].
+// The cells are one cell, or siblings that differ only in MemSched (see
+// siblings). Cache hits are served one by one. Two or more misses share
+// one pricing pass (simulate); a pass that fails for any reason — panic,
+// timeout, cancellation, error — publishes nothing, and every miss then
+// runs alone on the ordinary path, so failures, retries and memoization
+// are exactly those of single cells.
+func (r *Runner) lead(ctx context.Context, cells []Cell, fls []*inflightCell) []CellResult {
 	// The runner-wide Ctx cancels every cell; a per-call ctx only its own.
 	// Merge the two when both can fire.
 	ctx, stop := joinContext(ctx, r.Ctx)
 	defer stop()
 
-	// An active fault plan bypasses the cache in both directions:
-	// perturbed results must not poison it and clean entries must not
-	// mask the faults.
-	useCache := !r.Faults.Active()
-	var out CellResult
-	cached := false
-	cancelled := false
-	attempts := 0
-	if useCache {
-		out, cached = r.Cache.load(r.Cfg, c)
+	type miss struct {
+		i     int
+		start time.Time
+		span  *telemetry.Span
 	}
-	if !cached {
-		res, cerr := r.runCell(ctx, c, span)
-		if cerr != nil {
-			out = CellResult{Cell: c, Failed: true, Pressured: cerr.Pressured}
-			attempts = cerr.Attempts
-			cancelled = errors.Is(cerr.Err, context.Canceled) ||
-				errors.Is(cerr.Err, context.DeadlineExceeded) ||
-				errors.Is(cerr.Err, ErrTransient)
-			r.mu.Lock()
-			r.failures = append(r.failures, cerr)
-			r.mu.Unlock()
-		} else {
-			out = res
-			// A Pressured result reflects what the budget controller did
-			// to this particular run, not the cell itself, so it must not
-			// poison the cache.
-			if useCache && !out.Pressured {
-				if r.Faults.CacheCorrupt {
-					r.Cache.storeCorrupt(r.Cfg, c)
-				} else {
-					r.Cache.store(r.Cfg, c, out)
-				}
+	out := make([]CellResult, len(cells))
+	var misses []miss
+	for i, c := range cells {
+		m := miss{i, time.Now(), r.cellSpan(c)}
+		// An active fault plan bypasses the cache in both directions:
+		// perturbed results must not poison it and clean entries must not
+		// mask the faults.
+		if !r.Faults.Active() {
+			if res, ok := r.Cache.load(r.Cfg, c); ok {
+				out[i] = r.settle(c, fls[i], m.span, res, nil, cellAccount{wall: time.Since(m.start), cached: true})
+				continue
 			}
 		}
+		misses = append(misses, m)
 	}
-	wall := time.Since(start)
+	if n := len(misses); n > 1 {
+		sibs := make([]Cell, n)
+		for k, m := range misses {
+			sibs[k] = cells[m.i]
+		}
+		g := sibs[0]
+		g.MemSched = ""
+		gspan := r.Tel.Tracer().StartSpan("group "+g.Key(), "group")
+		gspan.Arg("cells", n)
+		start := time.Now()
+		spans := make([]*telemetry.Span, n)
+		var pressured bool
+		res, err := r.simulateGuarded(ctx, sibs, 0, gspan, spans, &pressured)
+		gspan.Arg("failed", err != nil)
+		gspan.End()
+		if err == nil {
+			for k, c := range sibs {
+				r.store(c, res[k])
+			}
+			// Each member is charged an equal share of the pass, so the
+			// members' wall times sum to the group's.
+			share := time.Since(start) / time.Duration(n)
+			for k, m := range misses {
+				out[m.i] = r.settle(sibs[k], fls[m.i], spans[k], res[k], nil, cellAccount{wall: share, shared: n})
+			}
+			return out
+		}
+	}
+	for _, m := range misses {
+		c := cells[m.i]
+		res, cerr := r.runCell(ctx, c, m.span)
+		if cerr == nil {
+			r.store(c, res)
+		}
+		out[m.i] = r.settle(c, fls[m.i], m.span, res, cerr, cellAccount{wall: time.Since(m.start)})
+	}
+	return out
+}
+
+// cellSpan opens the trace span of one cell.
+func (r *Runner) cellSpan(c Cell) *telemetry.Span {
+	span := r.Tel.Tracer().StartSpan("cell "+c.Key(), "cell")
+	span.Arg("platform", c.Platform)
+	span.Arg("alloc", c.Alloc)
+	span.Arg("workload", c.Workload)
+	span.Arg("cores", c.Cores)
+	return span
+}
+
+// store writes a freshly simulated result to the cell cache. A Pressured
+// result reflects what the budget controller did to this particular run,
+// not the cell itself, so it must not poison the cache; nor may anything
+// simulated under an active fault plan.
+func (r *Runner) store(c Cell, out CellResult) {
+	switch {
+	case r.Faults.Active() || out.Pressured:
+	case r.Faults.CacheCorrupt:
+		r.Cache.storeCorrupt(r.Cfg, c)
+	default:
+		r.Cache.store(r.Cfg, c, out)
+	}
+}
+
+// settle publishes one resolved cell: its result (or, with cerr, its
+// failure) to the waiters, then the failure record, the memo and manifest
+// accounting, the cache counters, the cell's span and the metrics.
+func (r *Runner) settle(c Cell, fl *inflightCell, span *telemetry.Span, out CellResult, cerr *CellError, acct cellAccount) CellResult {
+	cancelled := false
+	if cerr != nil {
+		out = CellResult{Cell: c, Failed: true, Pressured: cerr.Pressured}
+		cancelled = errors.Is(cerr.Err, context.Canceled) ||
+			errors.Is(cerr.Err, context.DeadlineExceeded) ||
+			errors.Is(cerr.Err, ErrTransient)
+	}
+	countCache := !r.Faults.Active() && r.Cache != nil && !cancelled
 
 	fl.res = out
 	fl.cancelled = cancelled
 	r.mu.Lock()
+	if cerr != nil {
+		r.failures = append(r.failures, cerr)
+	}
 	if !cancelled && !out.Pressured {
 		// A cancelled, timed-out, transient-remote, or pressure-perturbed
 		// cell is not memoized: the next caller gets a fresh attempt (and,
 		// under a controller, a fresh chance at an unconstrained run).
 		r.cells[c] = out
-		r.accounts[c] = cellAccount{wallMS: float64(wall.Nanoseconds()) / 1e6, cached: cached}
+		r.accounts[c] = acct
 	}
-	if useCache && r.Cache != nil && !cancelled {
-		if cached {
+	if countCache {
+		if acct.cached {
 			r.cacheHits++
 		} else {
 			r.cacheMisses++
@@ -481,10 +546,13 @@ func (r *Runner) lead(ctx context.Context, c Cell, fl *inflightCell) CellResult 
 	r.mu.Unlock()
 	close(fl.done)
 
-	span.Arg("cached", cached)
+	span.Arg("cached", acct.cached)
 	span.Arg("failed", out.Failed)
-	if attempts > 0 {
-		span.Arg("attempts", attempts)
+	if acct.shared > 1 {
+		span.Arg("shared", acct.shared)
+	}
+	if cerr != nil && cerr.Attempts > 0 {
+		span.Arg("attempts", cerr.Attempts)
 	}
 	span.End()
 	if met := r.Tel.Metrics(); met != nil {
@@ -496,15 +564,15 @@ func (r *Runner) lead(ctx context.Context, c Cell, fl *inflightCell) CellResult 
 			met.Counter("webmm_cells_pressured_total",
 				"cells perturbed by budget-controller denials (not memoized or cached)", nil).Inc()
 		}
-		if useCache && r.Cache != nil {
-			if cached {
+		if countCache {
+			if acct.cached {
 				met.Counter("webmm_cache_hits_total", "cells served from the disk cell cache", nil).Inc()
 			} else {
 				met.Counter("webmm_cache_misses_total", "cells missing from the disk cell cache", nil).Inc()
 			}
 		}
-		met.Histogram("webmm_cell_seconds", "wall time per resolved cell",
-			[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}, nil).Observe(wall.Seconds())
+		met.Histogram("webmm_cell_seconds", "wall time per resolved cell (a grouped cell's share)",
+			[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}, nil).Observe(acct.wall.Seconds())
 	}
 	return out
 }
@@ -564,9 +632,12 @@ var classLabels = [sim.NumClasses]string{
 // attachTelemetry wires a freshly built machine into the telemetry layer:
 // every stream Env reports allocation sizes to the shared profile, and the
 // machine's round sampler feeds per-class counters to the metrics registry
-// and, when tracing, per-round counter tracks under the cell's span. With
-// telemetry disabled the machine is left untouched.
-func (r *Runner) attachTelemetry(m *machine.Machine, plat machine.Platform, span *telemetry.Span) {
+// and, when tracing, per-round counter tracks under the cell's span. One
+// machine prices for all of its cells, which are siblings, and the class
+// counters count the priced rounds once per cell, so they read the same
+// however the cells were grouped. With telemetry disabled the machine is
+// left untouched.
+func (r *Runner) attachTelemetry(m *machine.Machine, plat machine.Platform, span *telemetry.Span, cells int) {
 	if !r.Tel.Enabled() {
 		return
 	}
@@ -589,13 +660,14 @@ func (r *Runner) attachTelemetry(m *machine.Machine, plat machine.Platform, span
 	tr := r.Tel.Tracer()
 	tid := span.TID()
 	cores := m.NCores
+	n := uint64(cells)
 	m.Sampler = func(s machine.RoundSample) {
 		if !s.Measuring {
 			return
 		}
 		for cls := 0; cls < sim.NumClasses; cls++ {
-			instr[cls].Add(s.ByClass[cls].Instr)
-			l2miss[cls].Add(s.ByClass[cls].L2Miss())
+			instr[cls].Add(n * s.ByClass[cls].Instr)
+			l2miss[cls].Add(n * s.ByClass[cls].L2Miss())
 		}
 		if tr == nil {
 			return
@@ -662,8 +734,11 @@ func (r *Runner) BuildManifest(experiments []string) *telemetry.Manifest {
 			Cores:        c.Cores,
 			Ruby:         c.Ruby,
 			RestartEvery: c.RestartEvery,
-			WallMS:       acct.wallMS,
+			Budget:       c.Budget,
+			MemSched:     c.MemSched,
+			WallMS:       float64(acct.wall.Nanoseconds()) / 1e6,
 			Cached:       acct.cached,
+			Shared:       acct.shared,
 			Failed:       res.Failed,
 			Throughput:   res.Res.Throughput,
 			Txns:         res.Res.Txns,
@@ -703,9 +778,9 @@ func (r *Runner) runCell(ctx context.Context, c Cell, span *telemetry.Span) (Cel
 		if err := ctx.Err(); err != nil {
 			return CellResult{}, &CellError{Cell: c, Err: err, Attempts: attempt + 1, Pressured: pressured}
 		}
-		out, err := r.simulateGuarded(ctx, c, attempt, span, &pressured)
+		out, err := r.simulateGuarded(ctx, []Cell{c}, attempt, span, []*telemetry.Span{span}, &pressured)
 		if err == nil {
-			return out, nil
+			return out[0], nil
 		}
 		lastErr, stack = err, nil
 		var pe *panicError
@@ -723,7 +798,7 @@ func (r *Runner) runCell(ctx context.Context, c Cell, span *telemetry.Span) (Cel
 // between phases and pricing rounds and returns on its own goroutine — so
 // there is no watchdog and nothing to abandon: when simulateGuarded
 // returns, no simulation work for the cell is running anywhere.
-func (r *Runner) simulateGuarded(ctx context.Context, c Cell, attempt int, span *telemetry.Span, pressured *bool) (out CellResult, err error) {
+func (r *Runner) simulateGuarded(ctx context.Context, cells []Cell, attempt int, span *telemetry.Span, spans []*telemetry.Span, pressured *bool) (out []CellResult, err error) {
 	if r.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
@@ -737,7 +812,7 @@ func (r *Runner) simulateGuarded(ctx context.Context, c Cell, attempt int, span 
 			err = fmt.Errorf("simulation exceeded timeout %v: %w", r.Timeout, err)
 		}
 	}()
-	return r.simulate(ctx, c, attempt, span, pressured)
+	return r.simulate(ctx, cells, attempt, span, spans, pressured)
 }
 
 // ctxErr is a deadline-aware ctx.Err: context.WithTimeout only reports an
@@ -771,56 +846,56 @@ func faultSeed(seed uint64, c Cell, stream, attempt int) uint64 {
 }
 
 // RunAll simulates every cell of a plan, fanning the distinct cells out
-// over jobs worker goroutines (jobs <= 0 means GOMAXPROCS). Every cell
-// derives all of its randomness from Config.Seed and shares no state with
-// other cells, so the schedule cannot change any number: RunAll is
-// bit-identical to running the same cells serially, and jobs == 1 is
-// exactly the serial loop. Results are returned in input order; duplicate
+// over jobs worker goroutines (jobs <= 0 means GOMAXPROCS). Sibling cells,
+// which differ only in MemSched, go to one worker together and share one
+// pricing pass (see siblings). Every cell derives all of its randomness
+// from Config.Seed and shares no state with other cells, so neither the
+// schedule nor the grouping can change any number: RunAll is bit-identical
+// to running the same cells serially, and jobs == 1 is exactly the serial
+// loop over the groups. Results are returned in input order; duplicate
 // cells share one simulation.
 func (r *Runner) RunAll(cells []Cell, jobs int) []CellResult {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	seen := make(map[Cell]bool, len(cells))
-	var uniq []Cell
-	for _, c := range cells {
-		if !seen[c] {
-			seen[c] = true
-			uniq = append(uniq, c)
-		}
-	}
-	if jobs > len(uniq) {
-		jobs = len(uniq)
+	groups := r.siblings(cells)
+	if jobs > len(groups) {
+		jobs = len(groups)
 	}
 	// Results are collected as the workers produce them, not re-requested
 	// afterwards: a cell whose failure is not memoized (timeout or
 	// cancellation) must not be simulated a second time just to fill its
 	// output slot.
-	results := make(map[Cell]CellResult, len(uniq))
+	results := make(map[Cell]CellResult, len(cells))
+	var mu sync.Mutex
+	run := func(g []Cell) {
+		res := r.runGroup(g)
+		mu.Lock()
+		for i, c := range g {
+			results[c] = res[i]
+		}
+		mu.Unlock()
+	}
 	if jobs > 1 {
-		work := make(chan Cell)
+		work := make(chan []Cell)
 		var wg sync.WaitGroup
-		var mu sync.Mutex
 		wg.Add(jobs)
 		for w := 0; w < jobs; w++ {
 			go func() {
 				defer wg.Done()
-				for c := range work {
-					res := r.Run(c)
-					mu.Lock()
-					results[c] = res
-					mu.Unlock()
+				for g := range work {
+					run(g)
 				}
 			}()
 		}
-		for _, c := range uniq {
-			work <- c
+		for _, g := range groups {
+			work <- g
 		}
 		close(work)
 		wg.Wait()
 	} else {
-		for _, c := range uniq {
-			results[c] = r.Run(c)
+		for _, g := range groups {
+			run(g)
 		}
 	}
 	out := make([]CellResult, len(cells))
@@ -830,22 +905,95 @@ func (r *Runner) RunAll(cells []Cell, jobs int) []CellResult {
 	return out
 }
 
-// simulate runs one cell from scratch: build, warm, measure, result. It
-// touches no Runner state beyond the (immutable) Cfg and Faults, which is
-// what makes parallel fan-out safe. Around the stages it keeps what varies
-// per run rather than per cell: the injected faults, the budget lease and
-// the phase spans. attempt distinguishes the retry's fault-injection draws
+// siblings drops duplicate cells and partitions the rest into sibling
+// groups, in first-appearance order. Siblings are cells equal but for
+// MemSched: the memory system never feeds back into pricing, so they price
+// the identical trace and one pass can serve them all (DESIGN.md §10).
+// Grouping is off — every cell is a group of one — while cells run
+// remotely (Exec) or under perturbations drawn per cell: an active fault
+// plan or a budget controller's lease.
+func (r *Runner) siblings(cells []Cell) [][]Cell {
+	grouping := r.Exec == nil && !r.Faults.Active() && r.Budget == nil
+	at := make(map[Cell]int, len(cells))
+	seen := make(map[Cell]bool, len(cells))
+	var out [][]Cell
+	for _, c := range cells {
+		if seen[c] {
+			continue
+		}
+		seen[c] = true
+		k := c
+		if grouping {
+			k.MemSched = ""
+		}
+		if i, ok := at[k]; ok {
+			out[i] = append(out[i], c)
+			continue
+		}
+		at[k] = len(out)
+		out = append(out, []Cell{c})
+	}
+	return out
+}
+
+// runGroup resolves one sibling group. Members already memoized or in
+// flight elsewhere go through Run like any caller's (a memo hit or a wait
+// on their leader); the rest are claimed at once, each with its own
+// singleflight entry, and led together, so a concurrent Run of a member
+// waits for the group.
+func (r *Runner) runGroup(g []Cell) []CellResult {
+	out := make([]CellResult, len(g))
+	led := make([]bool, len(g))
+	var cells []Cell
+	var fls []*inflightCell
+	r.mu.Lock()
+	for i, c := range g {
+		_, memo := r.cells[c]
+		_, busy := r.inflight[c]
+		if memo || busy {
+			continue
+		}
+		fl := &inflightCell{done: make(chan struct{})}
+		r.inflight[c] = fl
+		cells, fls, led[i] = append(cells, c), append(fls, fl), true
+	}
+	r.mu.Unlock()
+	res := r.lead(context.Background(), cells, fls)
+	for i, c := range g {
+		if led[i] {
+			out[i], res = res[0], res[1:]
+		} else {
+			out[i] = r.Run(c)
+		}
+	}
+	return out
+}
+
+// simulate runs a group of sibling cells from scratch: one build, warm and
+// measure, then a result per member solved against the member's own
+// memory system. A single cell is a group of one. It touches no Runner
+// state beyond the (immutable) Cfg and Faults, which is what makes
+// parallel fan-out safe. Around the stages it keeps what varies per run
+// rather than per cell: the injected faults, the budget lease and the
+// phase spans. attempt distinguishes the retry's fault-injection draws
 // from the first try's; with an empty FaultPlan it has no effect at all.
+// Faults and leases are drawn per cell, so only a group of one runs under
+// them (siblings).
+//
+// span holds the shared phases: construct, warmup and measure. spans[i]
+// holds member i's solve; a nil entry is opened as the member's cell span
+// when its solve starts. A group of one passes its cell span as both.
 //
 // Cancellation checkpoints: ctx is polled between the construct/warmup/
 // measure/solve phases here, per stream during construction, and between
 // pricing rounds inside Machine.RunContext. Every checkpoint ends the
 // phase span it is in before returning, so a cancelled cell's trace is
 // still well formed.
-func (r *Runner) simulate(ctx context.Context, c Cell, attempt int, span *telemetry.Span, pressured *bool) (CellResult, error) {
+func (r *Runner) simulate(ctx context.Context, cells []Cell, attempt int, span *telemetry.Span, spans []*telemetry.Span, pressured *bool) ([]CellResult, error) {
 	if err := ctxErr(ctx); err != nil {
-		return CellResult{}, err
+		return nil, err
 	}
+	c := cells[0]
 	if r.Faults.PanicRate > 0 {
 		rng := sim.NewRNG(faultSeed(r.Cfg.Seed, c, -1, attempt))
 		if rng.Bool(r.Faults.PanicRate) {
@@ -856,10 +1004,10 @@ func (r *Runner) simulate(ctx context.Context, c Cell, attempt int, span *teleme
 		}
 	}
 	construct := span.Child("construct", "phase")
-	b, err := r.build(ctx, c, span)
+	b, err := r.build(ctx, cells, span)
 	if err != nil {
 		construct.End()
-		return CellResult{}, err
+		return nil, err
 	}
 	// Arm fault injection after construction so denials and injected OOM
 	// land on the steady-state Map paths the runtimes' bail-out machinery
@@ -916,7 +1064,7 @@ func (r *Runner) simulate(ctx context.Context, c Cell, attempt int, span *teleme
 	err = b.warm(ctx)
 	warm.End()
 	if err != nil {
-		return CellResult{}, err
+		return nil, err
 	}
 	// The squeeze fault fires at the warmup→measure boundary: budgets
 	// shrink to a factor of the footprint the warm cell actually reached,
@@ -937,26 +1085,34 @@ func (r *Runner) simulate(ctx context.Context, c Cell, attempt int, span *teleme
 	err = b.measure(ctx, r.Cfg.Fidelity)
 	meas.End()
 	if err != nil {
-		return CellResult{}, err
+		return nil, err
 	}
 	if err := ctxErr(ctx); err != nil {
-		return CellResult{}, err
+		return nil, err
 	}
-	slv := span.Child("solve", "phase")
-	out := b.result()
-	slv.End()
-	r.recordMemStats(out.Res.Mem)
-	// Only a live controller makes a result pressure-dependent; static
-	// budget denials (Cell.Budget, -faults budget/squeeze without a
-	// controller) are deterministic properties of the cell.
-	out.Pressured = lease != nil && lease.Denials() > 0
+	out := make([]CellResult, len(cells))
+	for i, mc := range cells {
+		if spans[i] == nil {
+			spans[i] = r.cellSpan(mc)
+		}
+		slv := spans[i].Child("solve", "phase")
+		out[i] = b.result(i)
+		slv.End()
+		r.recordMemStats(out[i].Res.Mem)
+		// Only a live controller makes a result pressure-dependent; static
+		// budget denials (Cell.Budget, -faults budget/squeeze without a
+		// controller) are deterministic properties of the cell.
+		out[i].Pressured = lease != nil && lease.Denials() > 0
+	}
 	return out, nil
 }
 
-// builtCell is one cell constructed and ready to run: its machine, one
-// runtime per stream, and the rounds each phase runs.
+// builtCell is a group of sibling cells constructed and ready to run: one
+// machine, each member's memory system, one runtime per stream, and the
+// rounds each phase runs.
 type builtCell struct {
-	cell                   Cell
+	cells                  []Cell
+	models                 []memsys.Model // models[i] is cells[i]'s
 	m                      *machine.Machine
 	drivers                []machine.Driver
 	rts                    []cellRuntime
@@ -967,32 +1123,43 @@ type builtCell struct {
 	callsBefore []heap.Stats
 }
 
-// build constructs cell c under the runner's Config. It validates the cell,
-// scales the platform, swaps in the DRAM model when the cell names a
-// policy, builds the machine with telemetry attached and a static
-// Cell.Budget armed, builds one runtime per stream (polling ctx between
-// streams), and sets the phase lengths. Injected faults and a budget lease
-// are per-run, not per-cell, and simulate arms them on the built cell.
-func (r *Runner) build(ctx context.Context, c Cell, span *telemetry.Span) (builtCell, error) {
-	if err := c.Validate(); err != nil {
-		return builtCell{}, err
+// build constructs a group of sibling cells under the runner's Config (a
+// single cell is a group of one). It validates every member, scales the
+// platform, gives each member its memory system — the platform's bus, or
+// the DRAM model when the member names a policy — builds one machine whose
+// measured misses fan out to every member's model, attaches telemetry,
+// arms a static Cell.Budget, builds one runtime per stream (polling ctx
+// between streams), and sets the phase lengths. Injected faults and a
+// budget lease are per-run, not per-cell, and simulate arms them on the
+// built cell.
+func (r *Runner) build(ctx context.Context, cells []Cell, span *telemetry.Span) (builtCell, error) {
+	c := cells[0]
+	for _, mc := range cells {
+		if err := mc.Validate(); err != nil {
+			return builtCell{}, err
+		}
 	}
 	plat, err := machine.PlatformByName(c.Platform)
 	if err != nil {
 		return builtCell{}, err
 	}
 	plat = scalePlatform(plat, r.Cfg.Scale)
-	if c.MemSched != "" {
+	models := make([]memsys.Model, len(cells))
+	for i, mc := range cells {
+		models[i] = plat.Mem
+		if mc.MemSched == "" {
+			continue
+		}
 		// The DRAM model sits behind the same transfer link the platform's
 		// bus prices, so the aggregate bandwidth story is unchanged; what
 		// the swap adds is row-buffer economics and per-core scheduling.
 		dram, err := memsys.NewDRAM(
-			memsys.DRAMConfig{Policy: memsys.PolicyName(c.MemSched)},
+			memsys.DRAMConfig{Policy: memsys.PolicyName(mc.MemSched)},
 			plat.Mem.Link(), c.Cores)
 		if err != nil {
 			return builtCell{}, err
 		}
-		plat.Mem = dram
+		models[i] = dram
 	}
 	prof, err := workload.ByName(c.Workload)
 	if err != nil {
@@ -1007,11 +1174,12 @@ func (r *Runner) build(ctx context.Context, c Cell, span *telemetry.Span) (built
 	// it does not scale with the workload.
 	const appCode = 192 * mem.KiB
 	m := machine.New(plat, c.Cores, allocCode, appCode, r.Cfg.Seed)
-	r.attachTelemetry(m, plat, span)
+	m.RecordTo(memsys.FanOut(models))
+	r.attachTelemetry(m, plat, span, len(cells))
 
 	n := m.NumStreams()
 	b := builtCell{
-		cell: c, m: m,
+		cells: cells, models: models, m: m,
 		drivers:    make([]machine.Driver, n),
 		rts:        make([]cellRuntime, n),
 		spaces:     make([]*mem.AddressSpace, n),
@@ -1084,23 +1252,23 @@ func (b *builtCell) measure(ctx context.Context, fidelity string) error {
 	return b.m.RunContext(ctx, b.drivers, 0, b.measRounds)
 }
 
-// result solves the machine and assembles the cell's result: the solved
-// timing, the mean footprint and per-stream calls over the measured
-// rounds, and the budget denials.
-func (b *builtCell) result() CellResult {
-	res := b.m.Solve()
-	out := CellResult{Cell: b.cell, Res: res}
+// result solves the machine against member i's memory system and
+// assembles its result: the solved timing, the mean footprint and
+// per-stream calls over the measured rounds, and the budget denials.
+func (b *builtCell) result(i int) CellResult {
+	res := b.m.SolveMem(b.models[i])
+	out := CellResult{Cell: b.cells[i], Res: res}
 	var fpSum float64
 	var calls heap.Stats
-	for i, rt := range b.rts {
+	for j, rt := range b.rts {
 		fpSum += rt.AvgFootprint()
-		after := rt.Generator().Stats()
-		calls.Mallocs += after.Mallocs - b.callsBefore[i].Mallocs
-		calls.Frees += after.Frees - b.callsBefore[i].Frees
-		calls.Reallocs += after.Reallocs - b.callsBefore[i].Reallocs
-		calls.BytesRequested += after.BytesRequested - b.callsBefore[i].BytesRequested
-		calls.BytesAllocated += after.BytesAllocated - b.callsBefore[i].BytesAllocated
-		calls.Bailouts += after.Bailouts - b.callsBefore[i].Bailouts
+		after, before := rt.Generator().Stats(), b.callsBefore[j]
+		calls.Mallocs += after.Mallocs - before.Mallocs
+		calls.Frees += after.Frees - before.Frees
+		calls.Reallocs += after.Reallocs - before.Reallocs
+		calls.BytesRequested += after.BytesRequested - before.BytesRequested
+		calls.BytesAllocated += after.BytesAllocated - before.BytesAllocated
+		calls.Bailouts += after.Bailouts - before.Bailouts
 	}
 	out.Footprint = fpSum / float64(len(b.rts))
 	out.Calls = calls

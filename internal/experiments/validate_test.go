@@ -97,7 +97,7 @@ func FuzzCellBuild(f *testing.F) {
 		if cfg.Validate() != nil || c.Validate() != nil {
 			return
 		}
-		if _, err := NewRunner(cfg).build(context.Background(), c, nil); err != nil {
+		if _, err := NewRunner(cfg).build(context.Background(), []Cell{c}, nil); err != nil {
 			t.Fatalf("validated cell %+v under %+v does not build: %v", c, cfg, err)
 		}
 	})

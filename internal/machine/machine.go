@@ -124,8 +124,9 @@ type Machine struct {
 	cores   []*coreState
 	l2s     []*l2State
 
-	// memRec is the memory system's miss-traffic observer, resolved once
-	// at construction. The default bus model observes nothing, so this is
+	// memRec is the memory system's miss-traffic observer, resolved at
+	// construction from the platform's model (RecordTo replaces it before
+	// pricing starts). The default bus model observes nothing, so this is
 	// nil and measured pricing pays one nil check per bus transaction.
 	// Every Record call sits under the same meas condition as the bus
 	// counter it mirrors, so unmeasured rounds record nothing and a DRAM
@@ -227,6 +228,14 @@ func (m *Machine) Streams() []*Stream { return m.streams }
 
 // NumStreams returns the number of hardware threads.
 func (m *Machine) NumStreams() int { return len(m.streams) }
+
+// RecordTo replaces the miss-traffic recorder New took from the platform's
+// memory system: rec observes the measured misses from then on, and nil
+// records nothing. Pricing never reads a recorder, so one pass can feed
+// the models of several sibling cells through a memsys.FanOut and each
+// model then Solves as if it had been priced alone. Call it before the
+// first pricing round.
+func (m *Machine) RecordTo(rec memsys.Recorder) { m.memRec = rec }
 
 // PriceSetup prices the events emitted during driver construction (allocator
 // initialization) without measuring them, so setup cost warms the caches but

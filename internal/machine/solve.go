@@ -98,19 +98,24 @@ func (r Result) PerTxn(count uint64) float64 {
 	return float64(count) / float64(r.Txns)
 }
 
-// Solve converges the timing fixed point: stalls depend on the memory
-// latency multiplier, the multiplier depends on utilization, and utilization
-// depends on wall time, which depends on stalls. The load counters never
-// change, so damped iteration converges quickly.
+// Solve solves the machine against its platform's memory system
+// (SolveMem with m.Plat.Mem).
+func (m *Machine) Solve() Result { return m.SolveMem(m.Plat.Mem) }
+
+// SolveMem converges the timing fixed point against the memory system
+// msys: stalls depend on the memory latency multiplier, the multiplier
+// depends on utilization, and utilization depends on wall time, which
+// depends on stalls. The load counters never change, so damped iteration
+// converges quickly. msys only reads what it recorded, so one priced
+// machine can be solved against each model a memsys.FanOut fed.
 //
 // The memory system contributes two fixed, pre-converged quantities on top
 // of the utilization feedback: an average service factor folded into
 // LatencyMultiplier (row-buffer economics) and a per-core factor (scheduling
 // favoritism) that scales each core's multiplier. Both are exactly 1 for the
 // bus model, making this arithmetic bit-identical to the pre-seam solver.
-func (m *Machine) Solve() Result {
+func (m *Machine) SolveMem(msys memsys.Model) Result {
 	p := m.Plat
-	msys := p.Mem
 	nStreams := len(m.streams)
 
 	// Per-core relative latency factors are frozen before iteration; the

@@ -43,6 +43,35 @@ type Recorder interface {
 	Record(line uint64, core int, kind Kind)
 }
 
+// FanOut returns one Recorder that hands every Record to each model's
+// recorder in turn, so one pricing pass can feed several memory systems.
+// Models that record nothing (the bus) are skipped. With no recorder left
+// it returns nil, and with one it returns that recorder itself, so a lone
+// model records exactly as it would on its own.
+func FanOut(models []Model) Recorder {
+	var recs fanOut
+	for _, m := range models {
+		if r := m.Recorder(); r != nil {
+			recs = append(recs, r)
+		}
+	}
+	switch len(recs) {
+	case 0:
+		return nil
+	case 1:
+		return recs[0]
+	}
+	return recs
+}
+
+type fanOut []Recorder
+
+func (f fanOut) Record(line uint64, core int, kind Kind) {
+	for _, r := range f {
+		r.Record(line, core, kind)
+	}
+}
+
 // Model is the memory system below the caches. The solver calls Utilization
 // and LatencyMultiplier inside its fixed-point loop and CoreFactor once per
 // core; implementations must make all three deterministic and stable across

@@ -128,8 +128,9 @@ func (e *remoteFailure) Unwrap() error {
 // cell goes verbatim (the "cell" field — RestartEvery is already scaled,
 // Budget already set), and every config field is sent explicitly so the
 // worker simulates under the coordinator's configuration, not its own
-// defaults: Warmup even when 0, and Fidelity with the zero value spelled
-// out as "full". call still checks the config the worker echoes back.
+// defaults: Warmup even when 0, XeonLargePages even when false, and
+// Fidelity with the zero value spelled out as "full". call still checks
+// the config the worker echoes back.
 func (f *fleet) workerBody(k runnerKey, c experiments.Cell) []byte {
 	req := runRequest{
 		CellSpec:       &c,
@@ -137,7 +138,7 @@ func (f *fleet) workerBody(k runnerKey, c experiments.Cell) []byte {
 		Warmup:         &k.cfg.Warmup,
 		Measure:        k.cfg.Measure,
 		Seed:           k.cfg.Seed,
-		XeonLargePages: k.cfg.XeonLargePages,
+		XeonLargePages: &k.cfg.XeonLargePages,
 		Fidelity:       k.cfg.Fidelity,
 		Faults:         k.faults,
 		TimeoutMS:      int(k.timeout / time.Millisecond),

@@ -533,3 +533,43 @@ func TestFleetPinsZeroWarmup(t *testing.T) {
 			got.Failed, got.Res.Throughput, want.Res.Throughput)
 	}
 }
+
+// TestFleetPinsLargePagesOff: a coordinator without Xeon large pages sends
+// "xeon_large_pages":false explicitly, so a worker whose default has them
+// on simulates the coordinator's config, and the fleet's answer equals a
+// direct run. (While the field was a plain bool, omitempty dropped the
+// false, the worker ran with large pages, and the coordinator refused its
+// result as one under another config.)
+func TestFleetPinsLargePagesOff(t *testing.T) {
+	wcfg := testSim()
+	wcfg.XeonLargePages = true
+	w, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: wcfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	coord, err := New(Config{Jobs: 2, QueueDepth: 16, Sim: testSim(),
+		Workers: []string{ts.URL}, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	tsc := httptest.NewServer(coord.Handler())
+	defer tsc.Close()
+
+	cell := experiments.Cell{Platform: "xeon", Alloc: "ddmalloc", Workload: "phpBB", Cores: 2}
+	want := experiments.NewRunner(testSim()).Run(cell)
+	if reflect.DeepEqual(want, experiments.NewRunner(wcfg).Run(cell)) {
+		t.Fatal("large pages do not change this cell; the test needs them to")
+	}
+	code, lines := postRun(t, tsc.URL, `{"platform":"xeon","alloc":"ddmalloc","workload":"phpBB","cores":2}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if got := resultOf(t, lines); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet result without large pages differs from a direct run (failed %v, %.2f vs %.2f txn/s)",
+			got.Failed, got.Res.Throughput, want.Res.Throughput)
+	}
+}

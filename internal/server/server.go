@@ -403,14 +403,14 @@ type runRequest struct {
 	// A negative period, or one on a PHP cell, is a 400.
 	RestartEvery int `json:"restart_every,omitempty"`
 
-	// Config overrides (0 = server default). Warmup is a pointer so an
-	// explicit 0 means no warmup rather than the default; absent keeps
-	// the default.
+	// Config overrides (0 = server default). Warmup and XeonLargePages
+	// are pointers so an explicit 0 or false overrides the default too;
+	// absent keeps the default.
 	Scale          int    `json:"scale,omitempty"`
 	Warmup         *int   `json:"warmup,omitempty"`
 	Measure        int    `json:"measure,omitempty"`
 	Seed           uint64 `json:"seed,omitempty"`
-	XeonLargePages bool   `json:"xeon_large_pages,omitempty"`
+	XeonLargePages *bool  `json:"xeon_large_pages,omitempty"`
 	// Fidelity overrides the server's default measurement fidelity
 	// ("full" or "sampled"; empty keeps the default).
 	Fidelity string `json:"fidelity,omitempty"`
@@ -574,8 +574,8 @@ func (s *Server) buildJob(ctx context.Context, req runRequest) (*job, error) {
 	if req.Seed != 0 {
 		cfg.Seed = req.Seed
 	}
-	if req.XeonLargePages {
-		cfg.XeonLargePages = true
+	if req.XeonLargePages != nil {
+		cfg.XeonLargePages = *req.XeonLargePages
 	}
 	if req.Fidelity != "" {
 		cfg.Fidelity = req.Fidelity

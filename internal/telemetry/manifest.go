@@ -62,17 +62,24 @@ type ManifestConfig struct {
 
 // ManifestCell is one simulated cell's record.
 type ManifestCell struct {
-	Platform     string  `json:"platform"`
-	Alloc        string  `json:"alloc"`
-	Workload     string  `json:"workload"`
-	Cores        int     `json:"cores"`
-	Ruby         bool    `json:"ruby,omitempty"`
-	RestartEvery int     `json:"restart_every,omitempty"`
-	WallMS       float64 `json:"wall_ms,omitempty"` // volatile; from-cache cells report load time
-	Cached       bool    `json:"cached,omitempty"`  // served from the disk cell cache
-	Failed       bool    `json:"failed,omitempty"`
-	Throughput   float64 `json:"throughput,omitempty"`
-	Txns         uint64  `json:"txns,omitempty"`
+	Platform     string `json:"platform"`
+	Alloc        string `json:"alloc"`
+	Workload     string `json:"workload"`
+	Cores        int    `json:"cores"`
+	Ruby         bool   `json:"ruby,omitempty"`
+	RestartEvery int    `json:"restart_every,omitempty"`
+	Budget       uint64 `json:"budget,omitempty"`   // static per-stream byte cap
+	MemSched     string `json:"memsched,omitempty"` // DRAM scheduling policy; empty is the bus
+	// WallMS is volatile. A from-cache cell reports its load time, and a
+	// cell that shared its pricing pass its share of the pass's time.
+	WallMS float64 `json:"wall_ms,omitempty"`
+	Cached bool    `json:"cached,omitempty"` // served from the disk cell cache
+	// Shared is the number of cells one pricing pass simulated together
+	// with this one, itself included; absent for a cell simulated alone.
+	Shared     int     `json:"shared,omitempty"`
+	Failed     bool    `json:"failed,omitempty"`
+	Throughput float64 `json:"throughput,omitempty"`
+	Txns       uint64  `json:"txns,omitempty"`
 }
 
 // ManifestFailure is one failed cell's report.

@@ -641,7 +641,7 @@ func (s *Study) RunExperiment(name ExperimentName) (ExperimentOutput, error) {
 	if err != nil {
 		return ExperimentOutput{}, err
 	}
-	if d.Cells != nil && s.jobs != 1 {
+	if d.Cells != nil {
 		if cells := d.Cells(s.r); len(cells) > 0 {
 			s.r.RunAll(cells, s.jobs)
 		}
