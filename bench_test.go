@@ -21,6 +21,11 @@ import (
 	"webmm/internal/workload"
 )
 
+// direct is the lookup that simulates each cell on demand through r.Run.
+func direct(r *experiments.Runner) experiments.Lookup {
+	return experiments.Lookup{Cfg: r.Cfg, Get: r.Run}
+}
+
 // benchRunner builds a fresh experiment runner at bench scale.
 func benchRunner() *experiments.Runner {
 	return experiments.NewRunner(experiments.Config{
@@ -187,7 +192,7 @@ func BenchmarkFig1CellSampled(b *testing.B)  { benchFidelityCell(b, "sampled") }
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRunner()
-		f := experiments.Fig1(r)
+		f := experiments.Fig1(direct(r))
 		b.ReportMetric(f.RegionMM+f.RegionOther, "region_cpu_rel")
 		b.ReportMetric(f.DefaultMM, "default_mm_share")
 	}
@@ -199,7 +204,7 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRunner()
-		rows := experiments.Table3(r)
+		rows := experiments.Table3(direct(r))
 		b.ReportMetric(rows[0].Mallocs, "mediawiki_ro_mallocs")
 		b.ReportMetric(rows[0].AvgSize, "mediawiki_ro_avg_bytes")
 	}
@@ -211,7 +216,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRunner()
-		entries := experiments.Fig5(r)
+		entries := experiments.Fig5(direct(r))
 		var ddSum, regSum float64
 		for _, e := range entries {
 			ddSum += e.DD
@@ -229,7 +234,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRunner()
-		entries := experiments.Fig6(r)
+		entries := experiments.Fig6(direct(r))
 		var defMM, regMM, ddMM, n float64
 		for _, e := range entries {
 			switch e.Alloc {
@@ -254,7 +259,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRunner()
-		points := experiments.Fig7(r)
+		points := experiments.Fig7(direct(r))
 		for _, p := range points {
 			if p.Platform == "xeon" && p.Cores == 8 {
 				switch p.Alloc {
@@ -274,7 +279,7 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRunner()
-		rows := experiments.Table4(r)
+		rows := experiments.Table4(direct(r))
 		var ddSpeedup, n float64
 		for _, row := range rows {
 			if row.Alloc == "ddmalloc" && row.Platform == "xeon" {
@@ -292,7 +297,7 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRunner()
-		entries := experiments.Fig8(r)
+		entries := experiments.Fig8(direct(r))
 		var regBus, ddBus, n float64
 		for _, e := range entries {
 			if e.Platform != "xeon" {
@@ -317,7 +322,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRunner()
-		entries := experiments.Fig9(r)
+		entries := experiments.Fig9(direct(r))
 		var def, reg, dd float64
 		for _, e := range entries {
 			if e.Workload != workload.MediaWikiRO().Name {
@@ -350,7 +355,7 @@ func benchRubyRunner() *experiments.Runner {
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRubyRunner()
-		entries := experiments.Fig10(r)
+		entries := experiments.Fig10(direct(r))
 		for _, e := range entries {
 			if e.Alloc == "ddmalloc" {
 				b.ReportMetric((e.RelToGlibc-1)*100, "dd_vs_glibc_pct")
@@ -362,7 +367,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRubyRunner()
-		entries := experiments.Fig11(r)
+		entries := experiments.Fig11(direct(r))
 		for _, e := range entries {
 			if e.Alloc == "glibc" {
 				b.ReportMetric(e.MMPct, "glibc_mm_pct")
@@ -377,7 +382,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := benchRubyRunner()
-		entries := experiments.Fig12(r)
+		entries := experiments.Fig12(direct(r))
 		for _, e := range entries {
 			if e.Alloc == "ddmalloc" && e.Period == 20 {
 				b.ReportMetric((e.VsNoRestart-1)*100, "dd_restart20_pct")

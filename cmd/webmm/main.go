@@ -49,12 +49,13 @@
 // MemBalancer-style budget apportioned across concurrent cells with a
 // graceful-degradation admission ladder.
 //
-// Each experiment's cells are enumerated by its planner and simulated by a
-// worker pool of -jobs goroutines before the tables render; cells that
-// differ only in -memsched share one pricing pass. Cells are independently
-// seeded, so the parallel results are bit-identical to -jobs 1, the serial
-// loop. With -cellcache, finished cells are persisted (keyed by config and
-// simulator version) and reloaded by later runs.
+// Each experiment's plan is the cells its tables read; they are simulated
+// by a worker pool of -jobs goroutines before the tables render from their
+// results, and cells that differ only in -memsched share one pricing pass.
+// Cells are independently seeded, so the parallel results are bit-identical
+// to -jobs 1, the serial loop. With -cellcache, finished cells are
+// persisted (keyed by config and simulator version) and reloaded by later
+// runs.
 package main
 
 import (
@@ -263,25 +264,21 @@ func run() int {
 	return status
 }
 
-// runExperiment fans the named experiment's cell plan out over the worker
-// pool, then renders its tables (and, in table mode, charts) from the
-// memoized results. "cell" is the one experiment outside the registry: a
-// single cell selected by the -platform/-alloc/-workload/-cores flags.
+// runExperiment runs the named experiment over the worker pool and prints
+// its tables (and, in table mode, charts). "cell" is the one experiment
+// outside the registry: a single cell selected by the -platform/-alloc/
+// -workload/-cores flags. A signal cancels the runner's Ctx, not this
+// call's: the cells fail, the tables still print with FAILED rows, and the
+// failure report follows.
 func runExperiment(r *experiments.Runner, name string, jobs int, csv bool, cell experiments.Cell) error {
 	if name == "cell" {
 		printCell(r.Run(cell))
 		return nil
 	}
-	d, err := experiments.ExperimentByName(name)
+	out, err := r.Experiment(context.Background(), name, jobs, nil)
 	if err != nil {
 		return err
 	}
-	if d.Cells != nil {
-		if cells := d.Cells(r); len(cells) > 0 {
-			r.RunAll(cells, jobs)
-		}
-	}
-	out := d.Run(r)
 	for _, t := range out.Tables {
 		if csv {
 			fmt.Print(t.CSV())

@@ -51,8 +51,8 @@ Endpoints:
   GET  /metrics      live Prometheus metrics of the shared telemetry registry
   GET  /healthz      queue, worker, and memory-pressure status
 
-With -workers, the instance becomes a fleet coordinator: experiments are
-planned with the ordinary planners but every cell executes remotely over
+With -workers, the instance becomes a fleet coordinator: experiments run
+through the same path as everywhere else but every cell executes remotely over
 POST /run on the listed workers, under the coordinator's simulation config
 (a result under any other config is refused and retried on the next
 shard). Identical in-flight cells across clients coalesce to

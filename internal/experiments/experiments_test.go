@@ -148,7 +148,7 @@ func TestTable3RegeneratesCalls(t *testing.T) {
 	// size mixture's heavy tail is represented (SPECweb has only ~410
 	// mallocs/txn at this scale).
 	r := NewRunner(Config{Scale: 8, Warmup: 1, Measure: 2, Seed: 1})
-	rows := Table3(r)
+	rows := Table3(direct(r))
 	if len(rows) != len(workload.Profiles()) {
 		t.Fatalf("Table3 produced %d rows, want %d", len(rows), len(workload.Profiles()))
 	}

@@ -18,10 +18,10 @@ type Fig1Result struct {
 }
 
 // Fig1 runs the Figure 1 experiment.
-func Fig1(r *Runner) Fig1Result {
+func Fig1(l Lookup) Fig1Result {
 	wl := workload.MediaWikiRW().Name
-	def := r.Run(phpCell("xeon", "default", wl, 8))
-	reg := r.Run(phpCell("xeon", "region", wl, 8))
+	def := l.Get(phpCell("xeon", "default", wl, 8))
+	reg := l.Get(phpCell("xeon", "region", wl, 8))
 
 	defTotal := def.Res.CyclesPerTxn()
 	var out Fig1Result
@@ -82,16 +82,16 @@ type Table3Row struct {
 
 // Table3 regenerates the paper's Table 3. A failed cell yields a row marked
 // Failed instead of numbers.
-func Table3(r *Runner) []Table3Row {
+func Table3(l Lookup) []Table3Row {
 	var rows []Table3Row
 	for _, p := range workload.Profiles() {
-		cr := r.Run(phpCell("xeon", "default", p.Name, 1))
+		cr := l.Get(phpCell("xeon", "default", p.Name, 1))
 		txns := float64(cr.Res.Txns)
 		if cr.Failed || txns == 0 {
 			rows = append(rows, Table3Row{Workload: p.Name, Failed: true})
 			continue
 		}
-		scale := float64(r.Cfg.Scale)
+		scale := float64(l.Cfg.Scale)
 		rows = append(rows, Table3Row{
 			Workload: p.Name,
 			Mallocs:  float64(cr.Calls.Mallocs) / txns * scale,
@@ -130,13 +130,13 @@ type Fig5Entry struct {
 }
 
 // Fig5 runs the Figure 5 matrix.
-func Fig5(r *Runner) []Fig5Entry {
+func Fig5(l Lookup) []Fig5Entry {
 	var out []Fig5Entry
 	for _, plat := range []string{"xeon", "niagara"} {
 		for _, p := range workload.Profiles() {
-			def := r.Run(phpCell(plat, "default", p.Name, 8))
-			reg := r.Run(phpCell(plat, "region", p.Name, 8))
-			dd := r.Run(phpCell(plat, "ddmalloc", p.Name, 8))
+			def := l.Get(phpCell(plat, "default", p.Name, 8))
+			reg := l.Get(phpCell(plat, "region", p.Name, 8))
+			dd := l.Get(phpCell(plat, "ddmalloc", p.Name, 8))
 			out = append(out, Fig5Entry{
 				Platform: plat, Workload: p.Name,
 				Region: relThroughput(reg, def),
@@ -174,13 +174,13 @@ type Fig6Entry struct {
 }
 
 // Fig6 runs the Figure 6 matrix.
-func Fig6(r *Runner) []Fig6Entry {
+func Fig6(l Lookup) []Fig6Entry {
 	var out []Fig6Entry
 	for _, p := range workload.Profiles() {
-		def := r.Run(phpCell("xeon", "default", p.Name, 8))
+		def := l.Get(phpCell("xeon", "default", p.Name, 8))
 		base := def.Res.CyclesPerTxn()
 		for _, alloc := range PHPAllocators() {
-			cr := r.Run(phpCell("xeon", alloc, p.Name, 8))
+			cr := l.Get(phpCell("xeon", alloc, p.Name, 8))
 			if cr.Failed || def.Failed || base == 0 {
 				out = append(out, Fig6Entry{Workload: p.Name, Alloc: alloc, Failed: true})
 				continue
@@ -227,13 +227,13 @@ type Fig7Point struct {
 }
 
 // Fig7 runs the scaling sweep on both platforms.
-func Fig7(r *Runner) []Fig7Point {
+func Fig7(l Lookup) []Fig7Point {
 	wl := workload.MediaWikiRO().Name
 	var out []Fig7Point
 	for _, plat := range []string{"xeon", "niagara"} {
 		for _, alloc := range PHPAllocators() {
 			for _, cores := range Fig7Cores {
-				cr := r.Run(phpCell(plat, alloc, wl, cores))
+				cr := l.Get(phpCell(plat, alloc, wl, cores))
 				out = append(out, Fig7Point{
 					Platform: plat, Alloc: alloc, Cores: cores,
 					Throughput: cr.Res.Throughput,
@@ -273,15 +273,15 @@ type Table4Row struct {
 }
 
 // Table4 runs the full speedup matrix.
-func Table4(r *Runner) []Table4Row {
+func Table4(l Lookup) []Table4Row {
 	var out []Table4Row
 	for _, p := range workload.Profiles() {
 		for _, plat := range []string{"xeon", "niagara"} {
-			def1 := r.Run(phpCell(plat, "default", p.Name, 1))
-			def8 := r.Run(phpCell(plat, "default", p.Name, 8))
+			def1 := l.Get(phpCell(plat, "default", p.Name, 1))
+			def8 := l.Get(phpCell(plat, "default", p.Name, 8))
 			for _, alloc := range PHPAllocators() {
-				c1 := r.Run(phpCell(plat, alloc, p.Name, 1))
-				c8 := r.Run(phpCell(plat, alloc, p.Name, 8))
+				c1 := l.Get(phpCell(plat, alloc, p.Name, 1))
+				c8 := l.Get(phpCell(plat, alloc, p.Name, 8))
 				row := Table4Row{
 					Workload: p.Name, Alloc: alloc, Platform: plat,
 					T1: c1.Res.Throughput, T8: c8.Res.Throughput,
@@ -328,13 +328,13 @@ type Fig8Entry struct {
 }
 
 // Fig8 computes per-workload event deltas for region and DDmalloc.
-func Fig8(r *Runner) []Fig8Entry {
+func Fig8(l Lookup) []Fig8Entry {
 	var out []Fig8Entry
 	for _, plat := range []string{"xeon", "niagara"} {
 		for _, p := range workload.Profiles() {
-			def := r.Run(phpCell(plat, "default", p.Name, 8))
+			def := l.Get(phpCell(plat, "default", p.Name, 8))
 			for _, alloc := range []string{"ddmalloc", "region"} {
-				cr := r.Run(phpCell(plat, alloc, p.Name, 8))
+				cr := l.Get(phpCell(plat, alloc, p.Name, 8))
 				if cr.Failed || def.Failed {
 					out = append(out, Fig8Entry{
 						Platform: plat, Workload: p.Name, Alloc: alloc, Failed: true,
@@ -399,14 +399,14 @@ type Fig9Entry struct {
 
 // Fig9 measures memory consumption on one Xeon core (consumption is
 // per-process and core-count independent).
-func Fig9(r *Runner) []Fig9Entry {
+func Fig9(l Lookup) []Fig9Entry {
 	var out []Fig9Entry
 	for _, p := range workload.Profiles() {
 		for _, alloc := range PHPAllocators() {
-			cr := r.Run(phpCell("xeon", alloc, p.Name, 1))
+			cr := l.Get(phpCell("xeon", alloc, p.Name, 1))
 			out = append(out, Fig9Entry{
 				Workload: p.Name, Alloc: alloc,
-				Bytes:  cr.Footprint * float64(r.Cfg.Scale),
+				Bytes:  cr.Footprint * float64(l.Cfg.Scale),
 				Failed: cr.Failed,
 			})
 		}

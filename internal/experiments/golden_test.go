@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -24,26 +25,27 @@ func goldenCfg() Config {
 	return Config{Scale: 256, Warmup: 1, Measure: 1, Seed: 20090615}
 }
 
-// renderFig1Table3 renders Figure 1 and Table 3 the way cmd/webmm does.
-func renderFig1Table3(r *Runner) string {
+// renderFig1Table3 renders Figure 1 and Table 3 through the lookup, each
+// table followed by a blank line.
+func renderFig1Table3(l Lookup) string {
 	var b strings.Builder
-	b.WriteString(Fig1(r).Table().String())
+	b.WriteString(Fig1(l).Table().String())
 	b.WriteString("\n")
-	b.WriteString(Table3Table(Table3(r)).String())
+	b.WriteString(Table3Table(Table3(l)).String())
 	b.WriteString("\n")
 	return b.String()
 }
 
 // TestGoldenFig1Table3Deterministic is the determinism lock on rendered
 // results: Figure 1 and Table 3 at the golden scale must reproduce the
-// committed testdata byte-for-byte, from both the serial Run loop and the
-// parallel RunAll fan-out. An intentional simulator change regenerates the
-// file with -update (and, if cell numbers moved, bumps cellCacheVersion).
+// committed testdata byte-for-byte, from both the serial Run loop and
+// Runner.Experiment's parallel fan-out. An intentional simulator change
+// regenerates the file with -update (and, if cell numbers moved, bumps
+// cellCacheVersion).
 func TestGoldenFig1Table3Deterministic(t *testing.T) {
 	path := filepath.Join("testdata", "golden_fig1_table3.txt")
 
-	serial := NewRunner(goldenCfg())
-	got := renderFig1Table3(serial)
+	got := renderFig1Table3(direct(NewRunner(goldenCfg())))
 
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -59,8 +61,16 @@ func TestGoldenFig1Table3Deterministic(t *testing.T) {
 	}
 
 	par := NewRunner(goldenCfg())
-	par.RunAll(append(par.CellsFor("fig1"), par.CellsFor("table3")...), 4)
-	if gotPar := renderFig1Table3(par); gotPar != string(want) {
+	var b strings.Builder
+	for _, name := range []string{"fig1", "table3"} {
+		out, err := par.Experiment(context.Background(), name, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(out.Tables[0].String())
+		b.WriteString("\n")
+	}
+	if gotPar := b.String(); gotPar != string(want) {
 		t.Errorf("parallel Fig1+Table3 output diverged from %s\ngot:\n%s", path, gotPar)
 	}
 }

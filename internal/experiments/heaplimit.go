@@ -50,12 +50,12 @@ func heapLimitCell(alloc string, budgetBytes uint64) Cell {
 }
 
 // HeapLimit runs the sweep.
-func HeapLimit(r *Runner) []HeapLimitEntry {
+func HeapLimit(l Lookup) []HeapLimitEntry {
 	var out []HeapLimitEntry
 	for _, alloc := range PHPAllocators() {
-		base := r.Run(heapLimitCell(alloc, 0))
+		base := l.Get(heapLimitCell(alloc, 0))
 		for _, b := range HeapLimitBudgets {
-			cr := r.Run(heapLimitCell(alloc, b))
+			cr := l.Get(heapLimitCell(alloc, b))
 			out = append(out, HeapLimitEntry{
 				Alloc:       alloc,
 				Budget:      b,
@@ -112,16 +112,4 @@ func HeapLimitChart(entries []HeapLimitEntry) *report.Chart {
 		ch.Add(fmt.Sprintf("%-8s @%s", e.Alloc, budgetLabel(e.Budget)), tput)
 	}
 	return ch
-}
-
-// HeapLimitCells plans the sweep (every allocator × the budget ladder plus
-// the unlimited baselines, which the ladder already contains).
-func (r *Runner) HeapLimitCells() []Cell {
-	var out []Cell
-	for _, alloc := range PHPAllocators() {
-		for _, b := range HeapLimitBudgets {
-			out = append(out, heapLimitCell(alloc, b))
-		}
-	}
-	return out
 }

@@ -12,7 +12,7 @@ import (
 // — and the whole table is deterministic.
 func TestHeapLimitSweep(t *testing.T) {
 	r := NewRunner(faultCfg())
-	entries := HeapLimit(r)
+	entries := HeapLimit(direct(r))
 
 	want := len(PHPAllocators()) * len(HeapLimitBudgets)
 	if len(entries) != want {
@@ -78,7 +78,7 @@ func TestHeapLimitSweep(t *testing.T) {
 	}
 
 	// Deterministic: a fresh runner reproduces the table exactly.
-	again := HeapLimit(NewRunner(faultCfg()))
+	again := HeapLimit(direct(NewRunner(faultCfg())))
 	if !reflect.DeepEqual(entries, again) {
 		t.Error("heap-limit sweep is not deterministic across runners")
 	}

@@ -58,11 +58,11 @@ func memSchedCell(alloc, policy string, cores int) Cell {
 
 // MemSched runs the sweep: every PHP allocator × (bus + every registered
 // policy) × MemSchedCores.
-func MemSched(r *Runner) []MemSchedEntry {
+func MemSched(l Lookup) []MemSchedEntry {
 	var out []MemSchedEntry
 	for _, alloc := range PHPAllocators() {
 		for _, cores := range MemSchedCores {
-			base := r.Run(memSchedCell(alloc, "", cores))
+			base := l.Get(memSchedCell(alloc, "", cores))
 			out = append(out, MemSchedEntry{
 				Alloc: alloc, Policy: "bus", Cores: cores,
 				Throughput: base.Res.Throughput,
@@ -70,7 +70,7 @@ func MemSched(r *Runner) []MemSchedEntry {
 				Failed:     base.Failed,
 			})
 			for _, p := range memsys.PolicyNames() {
-				cr := r.Run(memSchedCell(alloc, string(p), cores))
+				cr := l.Get(memSchedCell(alloc, string(p), cores))
 				e := MemSchedEntry{
 					Alloc: alloc, Policy: string(p), Cores: cores,
 					Throughput: cr.Res.Throughput,
@@ -123,18 +123,4 @@ func MemSchedChart(entries []MemSchedEntry) *report.Chart {
 		ch.Add(fmt.Sprintf("%-8s %-7s @%d", e.Alloc, e.Policy, e.Cores), 100*e.RowHitRate)
 	}
 	return ch
-}
-
-// MemSchedCells plans the sweep for the runner's prefetching planner.
-func (r *Runner) MemSchedCells() []Cell {
-	var out []Cell
-	for _, alloc := range PHPAllocators() {
-		for _, cores := range MemSchedCores {
-			out = append(out, memSchedCell(alloc, "", cores))
-			for _, p := range memsys.PolicyNames() {
-				out = append(out, memSchedCell(alloc, string(p), cores))
-			}
-		}
-	}
-	return out
 }

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -101,9 +103,9 @@ func TestRunAllDedupsDuplicates(t *testing.T) {
 	}
 }
 
-// TestCellPlannersCoverFigures: every planner yields cells, and a plan must
-// cover its figure exactly — running the plan first, the figure function
-// may not simulate any cell the planner missed.
+// TestCellPlannersCoverFigures: every simulating experiment has a plan,
+// and table2 and unknown names have none. That a plan covers its render
+// exactly is TestRenderReadsDoNotDependOnResults.
 func TestCellPlannersCoverFigures(t *testing.T) {
 	r := NewRunner(parCfg())
 	for _, name := range []string{"fig1", "table3", "fig5", "fig6", "fig7",
@@ -117,22 +119,6 @@ func TestCellPlannersCoverFigures(t *testing.T) {
 	}
 	if r.CellsFor("nonsense") != nil {
 		t.Error("unknown experiment has a cell plan")
-	}
-
-	// Coverage check on the biggest PHP plan (Table 4) and the Ruby sweep
-	// (Figure 12), at a coarse scale to stay fast.
-	cov := NewRunner(Config{Scale: 1024, Warmup: 1, Measure: 1, Seed: 7})
-	cov.RunAll(cov.Table4Cells(), 4)
-	before := len(cov.cells)
-	Table4(cov)
-	if after := len(cov.cells); after != before {
-		t.Errorf("Table4 simulated %d cells beyond its plan", after-before)
-	}
-	cov.RunAll(cov.Fig12Cells(), 4)
-	before = len(cov.cells)
-	Fig12(cov)
-	if after := len(cov.cells); after != before {
-		t.Errorf("Fig12 simulated %d cells beyond its plan", after-before)
 	}
 }
 
@@ -175,6 +161,68 @@ func TestTimeoutLeavesNoGoroutines(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestExperimentRendersFromItsResults: Experiment renders from the results
+// it collected, so a cell whose failure is not memoized (a timeout) is
+// simulated and reported once, not a second time by the render.
+func TestExperimentRendersFromItsResults(t *testing.T) {
+	r := NewRunner(Config{Scale: 16, Warmup: 1, Measure: 1, Seed: 7})
+	r.Timeout = time.Millisecond
+	out, err := r.Experiment(context.Background(), "fig1", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.Failures()); n != 2 {
+		t.Errorf("fig1 recorded %d failures for its 2 cells, want 2", n)
+	}
+	if tab := out.Tables[0].String(); strings.Count(tab, "FAILED") != 2 {
+		t.Errorf("timed-out fig1 does not render two FAILED rows:\n%s", tab)
+	}
+}
+
+// TestExperimentReportsEachCellOnce: with several workers the settle hook
+// runs on each of them, once per distinct cell of the plan, and the done
+// counts it is handed number the cells 1..total.
+func TestExperimentReportsEachCellOnce(t *testing.T) {
+	r := NewRunner(goldenCfg())
+	plan := r.CellsFor("table3")
+	var mu sync.Mutex
+	seen := map[Cell]bool{}
+	dones := map[int]bool{}
+	_, err := r.Experiment(context.Background(), "table3", 3, func(res CellResult, done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[res.Cell] || dones[done] || total != len(plan) {
+			t.Errorf("%s settled again, or done %d repeated, or total %d for a plan of %d",
+				res.Key(), done, total, len(plan))
+		}
+		seen[res.Cell], dones[done] = true, true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range plan {
+		if !seen[c] || !dones[i+1] {
+			t.Errorf("%s never settled, or done %d never reported", c.Key(), i+1)
+		}
+	}
+}
+
+// TestExperimentCancelled: a cancelled context stops dispatch, and
+// Experiment returns its error instead of rendering.
+func TestExperimentCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := NewRunner(parCfg())
+	settled := 0
+	_, err := r.Experiment(ctx, "table3", 2, func(CellResult, int, int) { settled++ })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Experiment under a cancelled context returned %v, want context.Canceled", err)
+	}
+	if settled != 0 || len(r.Failures()) != 0 {
+		t.Errorf("cancelled before dispatch, yet %d cells settled and %d failed", settled, len(r.Failures()))
 	}
 }
 

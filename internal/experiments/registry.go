@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -12,6 +13,14 @@ import (
 type Output struct {
 	Tables []*report.Table
 	Charts []*report.Chart
+}
+
+// Lookup is what a figure reads: the Config its cells ran under and each
+// cell's result. Figures never simulate; Runner.Experiment hands them the
+// results of their own plan, and tests may hand them a Runner's Run.
+type Lookup struct {
+	Cfg Config
+	Get func(Cell) CellResult
 }
 
 // Descriptor describes one experiment of the paper's evaluation. The
@@ -28,12 +37,10 @@ type Descriptor struct {
 	Doc string
 	// Example is a one-line CLI invocation.
 	Example string
-	// Cells enumerates the experiment's simulation plan without
-	// simulating (nil-safe: some experiments, like Table 2, simulate
-	// nothing).
-	Cells func(r *Runner) []Cell
-	// Run simulates (via the memoizing Runner) and renders.
-	Run func(r *Runner) Output
+	// Render reads the experiment's cells through the lookup and renders
+	// them. The cells it reads are its plan (CellsFor), so which cells it
+	// reads must not depend on their results.
+	Render func(l Lookup) Output
 	// Extra marks an extension beyond the paper's evaluation. "all" skips
 	// extras — partly so the paper's reporting output stays byte-identical
 	// across versions, partly because an extra may fail cells by design
@@ -50,29 +57,26 @@ var registry = []Descriptor{
 		Name: "fig1", Ref: "Figure 1",
 		Doc:     "normalized CPU time per transaction, default vs region-based (MediaWiki rw, 8 Xeon cores)",
 		Example: "webmm -exp fig1 -scale 8",
-		Cells:   (*Runner).Fig1Cells,
-		Run:     func(r *Runner) Output { return tables(Fig1(r).Table()) },
+		Render:  func(l Lookup) Output { return tables(Fig1(l).Table()) },
 	},
 	{
 		Name: "table2", Ref: "Table 2",
 		Doc:     "the workloads used in the measurements (no simulation)",
 		Example: "webmm -exp table2",
-		Run:     func(r *Runner) Output { return tables(Table2()) },
+		Render:  func(Lookup) Output { return tables(Table2()) },
 	},
 	{
 		Name: "table3", Ref: "Table 3",
 		Doc:     "allocator calls per transaction and mean allocation size, per workload",
 		Example: "webmm -exp table3 -scale 8",
-		Cells:   (*Runner).Table3Cells,
-		Run:     func(r *Runner) Output { return tables(Table3Table(Table3(r))) },
+		Render:  func(l Lookup) Output { return tables(Table3Table(Table3(l))) },
 	},
 	{
 		Name: "fig5", Ref: "Figure 5",
 		Doc:     "relative throughput over the default allocator, all workloads, 8 cores, both platforms",
 		Example: "webmm -exp fig5 -jobs 8",
-		Cells:   (*Runner).Fig5Cells,
-		Run: func(r *Runner) Output {
-			entries := Fig5(r)
+		Render: func(l Lookup) Output {
+			entries := Fig5(l)
 			out := tables(Fig5Table(entries))
 			for _, plat := range []string{"xeon", "niagara"} {
 				ch := report.NewChart(fmt.Sprintf("Relative throughput on %s (| = default)", plat))
@@ -92,16 +96,14 @@ var registry = []Descriptor{
 		Name: "fig6", Ref: "Figure 6",
 		Doc:     "CPU time per transaction broken into memory management and others, 8 Xeon cores",
 		Example: "webmm -exp fig6 -jobs 8",
-		Cells:   (*Runner).Fig6Cells,
-		Run:     func(r *Runner) Output { return tables(Fig6Table(Fig6(r))) },
+		Render:  func(l Lookup) Output { return tables(Fig6Table(Fig6(l))) },
 	},
 	{
 		Name: "fig7", Ref: "Figure 7",
 		Doc:     "MediaWiki (read-only) throughput scaling with core count, both platforms",
 		Example: "webmm -exp fig7 -jobs 8",
-		Cells:   (*Runner).Fig7Cells,
-		Run: func(r *Runner) Output {
-			points := Fig7(r)
+		Render: func(l Lookup) Output {
+			points := Fig7(l)
 			out := tables(Fig7Table(points))
 			for _, plat := range []string{"xeon", "niagara"} {
 				ch := report.NewChart(fmt.Sprintf("MediaWiki(ro) on %s, txns/sec by cores", plat))
@@ -119,51 +121,44 @@ var registry = []Descriptor{
 		Name: "table4", Ref: "Table 4",
 		Doc:     "1- and 8-core throughput and speedups for every workload, allocator, and platform",
 		Example: "webmm -exp table4 -jobs 8 -fidelity sampled -cellcache .webmm-cache",
-		Cells:   (*Runner).Table4Cells,
-		Run:     func(r *Runner) Output { return tables(Table4Table(Table4(r))) },
+		Render:  func(l Lookup) Output { return tables(Table4Table(Table4(l))) },
 	},
 	{
 		Name: "fig8", Ref: "Figure 8",
 		Doc:     "change in hardware events per transaction vs the default allocator, 8 cores",
 		Example: "webmm -exp fig8 -jobs 8",
-		Cells:   (*Runner).Fig8Cells,
-		Run:     func(r *Runner) Output { return tables(Fig8Table(Fig8(r))) },
+		Render:  func(l Lookup) Output { return tables(Fig8Table(Fig8(l))) },
 	},
 	{
 		Name: "fig9", Ref: "Figure 9",
 		Doc:     "memory consumed per transaction, per workload and allocator",
 		Example: "webmm -exp fig9",
-		Cells:   (*Runner).Fig9Cells,
-		Run:     func(r *Runner) Output { return tables(Fig9Table(Fig9(r))) },
+		Render:  func(l Lookup) Output { return tables(Fig9Table(Fig9(l))) },
 	},
 	{
 		Name: "fig10", Ref: "Figure 10",
 		Doc:     "Rails throughput under glibc, Hoard, TCMalloc and DDmalloc with periodic restarts",
 		Example: "webmm -exp fig10",
-		Cells:   (*Runner).Fig10Cells,
-		Run:     func(r *Runner) Output { return tables(Fig10Table(Fig10(r))) },
+		Render:  func(l Lookup) Output { return tables(Fig10Table(Fig10(l))) },
 	},
 	{
 		Name: "fig11", Ref: "Figure 11",
 		Doc:     "Rails CPU time breakdown (memory management, restart, others)",
 		Example: "webmm -exp fig11",
-		Cells:   (*Runner).Fig11Cells,
-		Run:     func(r *Runner) Output { return tables(Fig11Table(Fig11(r))) },
+		Render:  func(l Lookup) Output { return tables(Fig11Table(Fig11(l))) },
 	},
 	{
 		Name: "fig12", Ref: "Figure 12",
 		Doc:     "Rails throughput vs process restart period, glibc and DDmalloc",
 		Example: "webmm -exp fig12",
-		Cells:   (*Runner).Fig12Cells,
-		Run:     func(r *Runner) Output { return tables(Fig12Table(Fig12(r))) },
+		Render:  func(l Lookup) Output { return tables(Fig12Table(Fig12(l))) },
 	},
 	{
 		Name: "heaplimit", Ref: "Extension", Extra: true,
 		Doc:     "throughput vs per-stream heap limit for the PHP allocators; FAILED rows mark each allocator's memory floor",
 		Example: "webmm -exp heaplimit -scale 8",
-		Cells:   (*Runner).HeapLimitCells,
-		Run: func(r *Runner) Output {
-			entries := HeapLimit(r)
+		Render: func(l Lookup) Output {
+			entries := HeapLimit(l)
 			out := tables(HeapLimitTable(entries))
 			out.Charts = append(out.Charts, HeapLimitChart(entries))
 			return out
@@ -173,9 +168,8 @@ var registry = []Descriptor{
 		Name: "memsched", Ref: "Extension", Extra: true,
 		Doc:     "allocator x DRAM scheduling policy x cores: throughput vs the bus model and row-buffer hit/conflict rates",
 		Example: "webmm -exp memsched -scale 64 -jobs 8",
-		Cells:   (*Runner).MemSchedCells,
-		Run: func(r *Runner) Output {
-			entries := MemSched(r)
+		Render: func(l Lookup) Output {
+			entries := MemSched(l)
 			out := tables(MemSchedTable(entries))
 			out.Charts = append(out.Charts, MemSchedChart(entries))
 			return out
@@ -223,24 +217,60 @@ func PaperExperimentNames() []string {
 	return out
 }
 
-// CellsFor returns the cell plan of the named experiment, or nil for
-// experiments that simulate nothing (table2) and unknown names. "all"
-// returns the union of every plan (duplicates included; RunAll dedups).
+// CellsFor returns the plan of the named experiment: the distinct cells its
+// render reads, in order of first appearance. It renders once through a
+// recording lookup that answers every read with a failed result and
+// simulates nothing. "all" returns the union of the paper experiments'
+// plans; table2 and unknown names return nil.
 func (r *Runner) CellsFor(name string) []Cell {
+	names := []string{name}
 	if name == "all" {
-		var out []Cell
-		for _, d := range registry {
-			if d.Cells != nil && !d.Extra {
-				out = append(out, d.Cells(r)...)
-			}
+		names = PaperExperimentNames()
+	}
+	var plan []Cell
+	seen := make(map[Cell]bool)
+	record := Lookup{Cfg: r.Cfg, Get: func(c Cell) CellResult {
+		if !seen[c] {
+			seen[c] = true
+			plan = append(plan, c)
 		}
-		return out
+		return CellResult{Cell: c, Failed: true}
+	}}
+	for _, n := range names {
+		d, err := ExperimentByName(n)
+		if err != nil {
+			return nil
+		}
+		d.Render(record)
 	}
+	return plan
+}
+
+// Fig5Cells, Fig10Cells, Fig12Cells and MemSchedCells are the plans
+// perfbench's workloads run.
+func (r *Runner) Fig5Cells() []Cell     { return r.CellsFor("fig5") }
+func (r *Runner) Fig10Cells() []Cell    { return r.CellsFor("fig10") }
+func (r *Runner) Fig12Cells() []Cell    { return r.CellsFor("fig12") }
+func (r *Runner) MemSchedCells() []Cell { return r.CellsFor("memsched") }
+
+// Experiment runs the named experiment, the one path the CLI, the Study API
+// and webmm serve share: it plans (CellsFor), resolves the plan through
+// RunAll's worker pool and sibling grouping under ctx, calls onCell (when
+// non-nil) as each distinct cell settles with the count settled so far and
+// the plan's size, and renders from the results it collected. onCell calls
+// may overlap when jobs > 1. Rendering never simulates, so a cell whose
+// failure is not memoized is not run a second time. A cancelled ctx stops
+// dispatch and returns its error.
+func (r *Runner) Experiment(ctx context.Context, name string, jobs int, onCell func(res CellResult, done, total int)) (Output, error) {
 	d, err := ExperimentByName(name)
-	if err != nil || d.Cells == nil {
-		return nil
+	if err != nil {
+		return Output{}, err
 	}
-	return d.Cells(r)
+	results := r.runAll(ctx, r.CellsFor(name), jobs, onCell)
+	if err := ctx.Err(); err != nil {
+		return Output{}, err
+	}
+	return d.Render(Lookup{Cfg: r.Cfg, Get: func(c Cell) CellResult { return results[c] }}), nil
 }
 
 // ExperimentsMarkdown renders the registry as the generated experiment

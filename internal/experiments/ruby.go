@@ -18,18 +18,18 @@ const rubyRestartEvery = 500
 // to keep heap aging per process constant. A negative period comes back
 // unchanged for Cell.Validate to reject, and a huge one saturates instead
 // of overflowing, so it means no restart within the run.
-func (r *Runner) rubyRestart(period int) int {
+func (c Config) rubyRestart(period int) int {
 	if period <= 0 {
 		return period
 	}
-	return max(min(period, math.MaxInt/8)*8/r.Cfg.Scale, 2)
+	return max(min(period, math.MaxInt/8)*8/c.Scale, 2)
 }
 
 // RubyRestartPeriod converts a restart period expressed in the paper's
 // full-scale transactions into this runner's scaled Cell.RestartEvery value
 // (0 stays 0, meaning no restarts). The public Study API accepts paper-scale
 // periods and converts through here.
-func (r *Runner) RubyRestartPeriod(period int) int { return r.rubyRestart(period) }
+func (r *Runner) RubyRestartPeriod(period int) int { return r.Cfg.rubyRestart(period) }
 
 // ---------------------------------------------------------------------------
 // Figure 10: Rails throughput under glibc, Hoard, TCmalloc and DDmalloc on
@@ -44,12 +44,12 @@ type Fig10Entry struct {
 }
 
 // Fig10 runs the Ruby allocator comparison.
-func Fig10(r *Runner) []Fig10Entry {
-	restart := r.rubyRestart(rubyRestartEvery)
-	base := r.Run(rubyCell("glibc", restart))
+func Fig10(l Lookup) []Fig10Entry {
+	restart := l.Cfg.rubyRestart(rubyRestartEvery)
+	base := l.Get(rubyCell("glibc", restart))
 	var out []Fig10Entry
 	for _, alloc := range RubyAllocators() {
-		cr := r.Run(rubyCell(alloc, restart))
+		cr := l.Get(rubyCell(alloc, restart))
 		out = append(out, Fig10Entry{
 			Alloc:      alloc,
 			Throughput: cr.Res.Throughput,
@@ -86,13 +86,13 @@ type Fig11Entry struct {
 }
 
 // Fig11 runs the Ruby breakdown.
-func Fig11(r *Runner) []Fig11Entry {
-	restart := r.rubyRestart(rubyRestartEvery)
-	baseCr := r.Run(rubyCell("glibc", restart))
+func Fig11(l Lookup) []Fig11Entry {
+	restart := l.Cfg.rubyRestart(rubyRestartEvery)
+	baseCr := l.Get(rubyCell("glibc", restart))
 	base := baseCr.Res.CyclesPerTxn()
 	var out []Fig11Entry
 	for _, alloc := range RubyAllocators() {
-		cr := r.Run(rubyCell(alloc, restart))
+		cr := l.Get(rubyCell(alloc, restart))
 		if cr.Failed || baseCr.Failed || base == 0 {
 			out = append(out, Fig11Entry{Alloc: alloc, Failed: true})
 			continue
@@ -140,12 +140,12 @@ type Fig12Entry struct {
 }
 
 // Fig12 runs the restart-period sweep.
-func Fig12(r *Runner) []Fig12Entry {
+func Fig12(l Lookup) []Fig12Entry {
 	var out []Fig12Entry
 	for _, alloc := range []string{"glibc", "ddmalloc"} {
-		base := r.Run(rubyCell(alloc, 0))
+		base := l.Get(rubyCell(alloc, 0))
 		for _, period := range Fig12Periods {
-			cr := r.Run(rubyCell(alloc, r.rubyRestart(period)))
+			cr := l.Get(rubyCell(alloc, l.Cfg.rubyRestart(period)))
 			out = append(out, Fig12Entry{
 				Alloc:       alloc,
 				Period:      period,

@@ -14,7 +14,7 @@ func rubyTestRunner() *Runner {
 func TestFig10OrderingMatchesPaper(t *testing.T) {
 	// Paper §4.4 / Figure 10: DDmalloc > TCmalloc > Hoard >= glibc.
 	r := rubyTestRunner()
-	entries := Fig10(r)
+	entries := Fig10(direct(r))
 	byName := map[string]float64{}
 	for _, e := range entries {
 		byName[e.Alloc] = e.Throughput
@@ -39,7 +39,7 @@ func TestFig10OrderingMatchesPaper(t *testing.T) {
 
 func TestFig11DDSpendsLeastOnMemoryManagement(t *testing.T) {
 	r := rubyTestRunner()
-	entries := Fig11(r)
+	entries := Fig11(direct(r))
 	mm := map[string]float64{}
 	for _, e := range entries {
 		mm[e.Alloc] = e.MMPct
@@ -61,7 +61,7 @@ func TestFig12RestartMattersMoreForDD(t *testing.T) {
 		t.Skip("restart sweep needs long process horizons")
 	}
 	r := rubyTestRunner()
-	entries := Fig12(r)
+	entries := Fig12(direct(r))
 	best := map[string]float64{}
 	noRestart := map[string]float64{}
 	for _, e := range entries {
@@ -97,29 +97,29 @@ func TestFig12RestartMattersMoreForDD(t *testing.T) {
 
 func TestRubyRestartPeriodScaling(t *testing.T) {
 	r := NewRunner(Config{Scale: 8, Warmup: 1, Measure: 1, Seed: 1})
-	if got := r.rubyRestart(500); got != 500 {
+	if got := r.Cfg.rubyRestart(500); got != 500 {
 		t.Errorf("scale 8: rubyRestart(500) = %d, want 500 (paper scale)", got)
 	}
 	r64 := NewRunner(Config{Scale: 64, Warmup: 1, Measure: 1, Seed: 1})
-	if got := r64.rubyRestart(500); got != 62 {
+	if got := r64.Cfg.rubyRestart(500); got != 62 {
 		t.Errorf("scale 64: rubyRestart(500) = %d, want 62", got)
 	}
-	if got := r64.rubyRestart(0); got != 0 {
+	if got := r64.Cfg.rubyRestart(0); got != 0 {
 		t.Errorf("rubyRestart(0) = %d, want 0 (no restarts)", got)
 	}
-	if got := r64.rubyRestart(20); got < 2 {
+	if got := r64.Cfg.rubyRestart(20); got < 2 {
 		t.Errorf("rubyRestart(20) = %d, want clamped >= 2", got)
 	}
 	// A negative period stays negative for Cell.Validate to reject, and a
 	// huge one saturates (no restart within the run) instead of wrapping
 	// to the minimum period 2.
-	if got := r64.rubyRestart(-1); got != -1 {
+	if got := r64.Cfg.rubyRestart(-1); got != -1 {
 		t.Errorf("rubyRestart(-1) = %d, want -1", got)
 	}
-	if got, want := r64.rubyRestart(2305843009213693952), math.MaxInt/8*8/64; got != want {
+	if got, want := r64.Cfg.rubyRestart(2305843009213693952), math.MaxInt/8*8/64; got != want {
 		t.Errorf("rubyRestart(2^61) = %d, want %d", got, want)
 	}
-	// Every period the planners use maps as it did before saturation.
+	// Every period the figures use maps as it did before saturation.
 	for exp := 0; exp <= 10; exp++ {
 		scale := 1 << exp
 		r := NewRunner(Config{Scale: scale, Measure: 1})
@@ -128,7 +128,7 @@ func TestRubyRestartPeriodScaling(t *testing.T) {
 			if period > 0 {
 				want = max(period*8/scale, 2)
 			}
-			if got := r.rubyRestart(period); got != want {
+			if got := r.Cfg.rubyRestart(period); got != want {
 				t.Errorf("scale %d: rubyRestart(%d) = %d, want %d", scale, period, got, want)
 			}
 		}

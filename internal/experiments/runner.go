@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 4). Each experiment function runs the necessary
-// (platform, allocator, workload, cores) cells through the simulator and
-// renders the same rows/series the paper reports; a shared memoizing Runner
-// keeps cells that several figures need (e.g. Figure 5 and Table 4) from
-// being simulated twice.
+// evaluation (Section 4). Each experiment function reads the (platform,
+// allocator, workload, cores) cells it needs through a Lookup and renders
+// the same rows/series the paper reports. Runner.Experiment plans those
+// reads, simulates them through a memoizing Runner, which keeps cells that
+// several figures need (e.g. Figure 5 and Table 4) from being simulated
+// twice, and renders from the results.
 package experiments
 
 import (
@@ -153,7 +154,7 @@ func (c Cell) Validate() error {
 	if c.Alloc == "" || c.Workload == "" {
 		return errors.New("experiments: cell needs an allocator and a workload")
 	}
-	p, err := machine.PlatformByName(c.Platform)
+	p, err := machine.PlatformDescByName(c.Platform)
 	if err != nil {
 		return err
 	}
@@ -855,6 +856,20 @@ func faultSeed(seed uint64, c Cell, stream, attempt int) uint64 {
 // loop over the groups. Results are returned in input order; duplicate
 // cells share one simulation.
 func (r *Runner) RunAll(cells []Cell, jobs int) []CellResult {
+	results := r.runAll(context.Background(), cells, jobs, nil)
+	out := make([]CellResult, len(cells))
+	for i, c := range cells {
+		out[i] = results[c]
+	}
+	return out
+}
+
+// runAll is RunAll under ctx, which stops dispatch when cancelled, with an
+// optional hook called for each distinct cell as it settles, with the
+// number settled so far and the number of distinct cells. The hook runs on
+// the worker that settled the cell, so calls overlap when jobs > 1. runAll
+// returns the results by cell; a cell left undispatched has none.
+func (r *Runner) runAll(ctx context.Context, cells []Cell, jobs int, onCell func(res CellResult, done, total int)) map[Cell]CellResult {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
@@ -862,19 +877,31 @@ func (r *Runner) RunAll(cells []Cell, jobs int) []CellResult {
 	if jobs > len(groups) {
 		jobs = len(groups)
 	}
+	total := 0
+	for _, g := range groups {
+		total += len(g)
+	}
 	// Results are collected as the workers produce them, not re-requested
 	// afterwards: a cell whose failure is not memoized (timeout or
 	// cancellation) must not be simulated a second time just to fill its
 	// output slot.
-	results := make(map[Cell]CellResult, len(cells))
+	results := make(map[Cell]CellResult, total)
 	var mu sync.Mutex
 	run := func(g []Cell) {
-		res := r.runGroup(g)
+		res := r.runGroup(ctx, g)
 		mu.Lock()
 		for i, c := range g {
 			results[c] = res[i]
 		}
+		settled := len(results) - len(g)
 		mu.Unlock()
+		// The hook is the caller's code and may block (serve sends each
+		// call to its client), so it runs outside the lock.
+		if onCell != nil {
+			for i := range g {
+				onCell(res[i], settled+i+1, total)
+			}
+		}
 	}
 	if jobs > 1 {
 		work := make(chan []Cell)
@@ -889,20 +916,22 @@ func (r *Runner) RunAll(cells []Cell, jobs int) []CellResult {
 			}()
 		}
 		for _, g := range groups {
+			if ctx.Err() != nil {
+				break
+			}
 			work <- g
 		}
 		close(work)
 		wg.Wait()
 	} else {
 		for _, g := range groups {
+			if ctx.Err() != nil {
+				break
+			}
 			run(g)
 		}
 	}
-	out := make([]CellResult, len(cells))
-	for i, c := range cells {
-		out[i] = results[c]
-	}
-	return out
+	return results
 }
 
 // siblings drops duplicate cells and partitions the rest into sibling
@@ -936,12 +965,12 @@ func (r *Runner) siblings(cells []Cell) [][]Cell {
 	return out
 }
 
-// runGroup resolves one sibling group. Members already memoized or in
-// flight elsewhere go through Run like any caller's (a memo hit or a wait
-// on their leader); the rest are claimed at once, each with its own
-// singleflight entry, and led together, so a concurrent Run of a member
-// waits for the group.
-func (r *Runner) runGroup(g []Cell) []CellResult {
+// runGroup resolves one sibling group under ctx. Members already memoized
+// or in flight elsewhere go through RunContext like any caller's (a memo
+// hit or a wait on their leader); the rest are claimed at once, each with
+// its own singleflight entry, and led together, so a concurrent Run of a
+// member waits for the group.
+func (r *Runner) runGroup(ctx context.Context, g []Cell) []CellResult {
 	out := make([]CellResult, len(g))
 	led := make([]bool, len(g))
 	var cells []Cell
@@ -958,12 +987,12 @@ func (r *Runner) runGroup(g []Cell) []CellResult {
 		cells, fls, led[i] = append(cells, c), append(fls, fl), true
 	}
 	r.mu.Unlock()
-	res := r.lead(context.Background(), cells, fls)
+	res := r.lead(ctx, cells, fls)
 	for i, c := range g {
 		if led[i] {
 			out[i], res = res[0], res[1:]
 		} else {
-			out[i] = r.Run(c)
+			out[i] = r.RunContext(ctx, c)
 		}
 	}
 	return out
@@ -1224,7 +1253,7 @@ func (r *Runner) build(ctx context.Context, cells []Cell, span *telemetry.Span) 
 		// Ruby cells must run long enough that processes age, restart
 		// on schedule, and the measurement samples a full process
 		// lifetime (Figure 12's effect lives on that horizon).
-		p500 := r.rubyRestart(rubyRestartEvery)
+		p500 := r.Cfg.rubyRestart(rubyRestartEvery)
 		b.warmRounds = max(b.warmRounds, p500/2)
 		b.measRounds = max(b.measRounds, p500+p500/4)
 	}

@@ -74,7 +74,7 @@ func (p Platform) validate() Platform {
 func Xeon() Platform {
 	return Platform{
 		Name:           "xeon",
-		MaxCores:       8,
+		MaxCores:       xeonCores,
 		ThreadsPerCore: 1,
 		CoresPerL2:     2,
 		L1D:            cache.Config{Name: "L1D", Size: 32 * mem.KiB, Ways: 8},
@@ -105,7 +105,7 @@ func Xeon() Platform {
 func Niagara() Platform {
 	return Platform{
 		Name:           "niagara",
-		MaxCores:       8,
+		MaxCores:       niagaraCores,
 		ThreadsPerCore: 4,
 		CoresPerL2:     8,
 		L1D:            cache.Config{Name: "L1D", Size: 8 * mem.KiB, Ways: 4},
@@ -128,6 +128,13 @@ func Niagara() Platform {
 	}.validate()
 }
 
+// The core count of each platform, read by both its constructor and its
+// registry entry.
+const (
+	xeonCores    = 8
+	niagaraCores = 8
+)
+
 // PlatformDesc describes one registered platform; the table drives name
 // resolution, CLI usage and catalogue output, so a new platform cannot
 // drift out of any of them.
@@ -135,6 +142,9 @@ type PlatformDesc struct {
 	Name string
 	// Doc is the one-line hardware summary shown in usage and -list.
 	Doc string
+	// MaxCores is the platform's core count, so a cell's cores can be
+	// checked without constructing the platform.
+	MaxCores int
 	// New constructs a fresh Platform value.
 	New func() Platform
 }
@@ -143,14 +153,16 @@ type PlatformDesc struct {
 // order.
 var platformRegistry = []PlatformDesc{
 	{
-		Name: "xeon",
-		Doc:  "Intel Xeon E5320: 8 OoO cores, paired 4 MiB L2s, prefetcher, modest FSB",
-		New:  Xeon,
+		Name:     "xeon",
+		Doc:      "Intel Xeon E5320: 8 OoO cores, paired 4 MiB L2s, prefetcher, modest FSB",
+		MaxCores: xeonCores,
+		New:      Xeon,
 	},
 	{
-		Name: "niagara",
-		Doc:  "Sun UltraSPARC T1: 8 in-order cores x 4 threads, shared 3 MiB L2, wide memory",
-		New:  Niagara,
+		Name:     "niagara",
+		Doc:      "Sun UltraSPARC T1: 8 in-order cores x 4 threads, shared 3 MiB L2, wide memory",
+		MaxCores: niagaraCores,
+		New:      Niagara,
 	},
 }
 
@@ -171,15 +183,25 @@ func PlatformNames() []string {
 	return out
 }
 
-// PlatformByName returns the named platform, with the registered candidates
-// in the error so the message can never drift from the registry.
-func PlatformByName(name string) (Platform, error) {
+// PlatformDescByName returns the named platform's registry entry, with the
+// registered candidates in the error so the message can never drift from
+// the registry. It constructs nothing.
+func PlatformDescByName(name string) (PlatformDesc, error) {
 	for _, d := range platformRegistry {
 		if d.Name == name {
-			return d.New(), nil
+			return d, nil
 		}
 	}
-	return Platform{}, fmt.Errorf("machine: unknown platform %q (valid: %v)", name, PlatformNames())
+	return PlatformDesc{}, fmt.Errorf("machine: unknown platform %q (valid: %v)", name, PlatformNames())
+}
+
+// PlatformByName returns a fresh value of the named platform.
+func PlatformByName(name string) (Platform, error) {
+	d, err := PlatformDescByName(name)
+	if err != nil {
+		return Platform{}, err
+	}
+	return d.New(), nil
 }
 
 // UsagePlatforms renders the platform table for CLI -h output, one line per

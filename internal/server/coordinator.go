@@ -1,7 +1,7 @@
 // Fleet coordinator: `webmm serve -workers http://a,http://b,...` turns an
-// instance into a thin dispatcher that plans experiments with the ordinary
-// planners and executes every cell remotely over the existing single-cell
-// POST /run protocol. The coordinator's Runners keep all their machinery —
+// instance into a thin dispatcher that runs experiments through
+// Runner.Experiment like any instance but executes every cell remotely over
+// the existing single-cell POST /run protocol. The coordinator's Runners keep all their machinery —
 // memoization, the shared cell cache, and crucially the singleflight — so a
 // thundering herd of identical client requests collapses to ONE upstream
 // call per cell fleet-wide, not one per client. Dispatch adds two

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -99,11 +100,7 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 
 	// The single-process truth: same config, no cache, no fleet.
 	direct := experiments.NewRunner(testSim())
-	desc, err := experiments.ExperimentByName("fig1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := desc.Cells(direct)
+	cells := direct.CellsFor("fig1")
 	if len(cells) < 2 {
 		t.Fatalf("fig1 planned %d cells, want several", len(cells))
 	}
@@ -166,7 +163,10 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 	if cellEvents != len(cells) {
 		t.Errorf("streamed %d cell events, want %d", cellEvents, len(cells))
 	}
-	out := desc.Run(direct)
+	out, err := direct.Experiment(context.Background(), "fig1", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wantTables []string
 	for _, tb := range out.Tables {
 		wantTables = append(wantTables, tb.String())

@@ -38,7 +38,7 @@ func FuzzRunRequest(f *testing.F) {
 		if cfg := j.r.Cfg; cfg.Validate() != nil || cfg != j.r.Cfg {
 			t.Fatalf("admitted runner config %+v is not valid and canonical", j.r.Cfg)
 		}
-		if j.isExp {
+		if j.exp != "" {
 			return
 		}
 		if err := j.cell.Validate(); err != nil {

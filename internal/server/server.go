@@ -64,7 +64,7 @@ type Config struct {
 	// also served back out on this instance's own /cache route.
 	Cache experiments.CacheBackend
 	// Workers, when non-empty, puts the server in coordinator mode: POST
-	// /run plans work with the ordinary planners but executes every cell
+	// /run plans work as every instance does but executes every cell
 	// remotely on these worker base URLs (fanning experiments out in
 	// parallel), with failover and hedged retries. The workers are plain
 	// webmm serve instances; every dispatch carries the coordinator's
@@ -433,9 +433,8 @@ type job struct {
 	ctx    context.Context
 	r      *experiments.Runner
 	cell   experiments.Cell
-	desc   experiments.Descriptor
-	isExp  bool
-	fanout int // concurrent cells for an experiment job (1 = serial)
+	exp    string // experiment name; "" for a single-cell job
+	jobs   int    // Runner.Experiment's worker count for an experiment job
 	events chan event
 	cancel context.CancelFunc // set by handleRun; fired when the client stalls
 }
@@ -455,7 +454,7 @@ func (j *job) execute() {
 		return // client left while queued; nothing to simulate
 	}
 	j.emit(event{"event": "running"})
-	if !j.isExp {
+	if j.exp == "" {
 		res := j.r.RunContext(j.ctx, j.cell)
 		// The config echo lets a fleet coordinator refuse a result this
 		// instance simulated under anything but what it dispatched.
@@ -472,53 +471,26 @@ func (j *job) execute() {
 		j.emit(e)
 		return
 	}
-	// Experiments run their planned cells up front so each finished cell
-	// becomes a progress event; the memo dedups cells shared between
-	// requests, and desc.Run below is served entirely from it. A plain
-	// server walks the plan serially (cross-request parallelism comes from
-	// the worker pool); a coordinator fans it out across the fleet with
-	// fanout in flight at once.
-	var cells []experiments.Cell
-	if j.desc.Cells != nil {
-		cells = j.desc.Cells(j.r)
+	// Each settled cell of the plan becomes a progress event; the memo
+	// dedups cells shared between requests. The failures listed at the
+	// end are this plan's own, with each cell's latest error, not
+	// everything the shared runner ever recorded.
+	var (
+		mu     sync.Mutex
+		failed []experiments.Cell
+	)
+	out, err := j.r.Experiment(j.ctx, j.exp, j.jobs, func(res experiments.CellResult, done, total int) {
+		if res.Failed {
+			mu.Lock()
+			failed = append(failed, res.Cell)
+			mu.Unlock()
+		}
+		j.emit(event{"event": "cell", "cell": res.Key(), "failed": res.Failed, "done": done, "total": total})
+	})
+	if err != nil {
+		j.emit(event{"event": "error", "error": err.Error()})
+		return
 	}
-	if j.fanout > 1 && len(cells) > 1 {
-		var (
-			wg   sync.WaitGroup
-			done atomic.Int64
-			sem  = make(chan struct{}, j.fanout)
-		)
-		for _, c := range cells {
-			if j.ctx.Err() != nil {
-				break
-			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(c experiments.Cell) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				res := j.r.RunContext(j.ctx, c)
-				j.emit(event{"event": "cell", "cell": c.Key(), "failed": res.Failed,
-					"done": done.Add(1), "total": len(cells)})
-			}(c)
-		}
-		wg.Wait()
-		if j.ctx.Err() != nil {
-			j.emit(event{"event": "error", "error": j.ctx.Err().Error()})
-			return
-		}
-	} else {
-		for i, c := range cells {
-			res := j.r.RunContext(j.ctx, c)
-			j.emit(event{"event": "cell", "cell": c.Key(), "failed": res.Failed,
-				"done": i + 1, "total": len(cells)})
-			if j.ctx.Err() != nil {
-				j.emit(event{"event": "error", "error": j.ctx.Err().Error()})
-				return
-			}
-		}
-	}
-	out := j.desc.Run(j.r)
 	var tables []string
 	for _, t := range out.Tables {
 		tables = append(tables, t.String())
@@ -526,11 +498,12 @@ func (j *job) execute() {
 	for _, ch := range out.Charts {
 		tables = append(tables, ch.String())
 	}
-	done := event{"event": "done", "experiment": j.desc.Name, "tables": tables}
-	if fails := j.r.Failures(); len(fails) > 0 {
+	done := event{"event": "done", "experiment": j.exp, "tables": tables}
+	if len(failed) > 0 {
 		var msgs []string
-		for _, f := range fails {
-			msgs = append(msgs, f.Error())
+		for _, c := range failed {
+			msg, _, _ := j.failure(c)
+			msgs = append(msgs, c.Key()+": "+msg)
 		}
 		done["failures"] = msgs
 	}
@@ -593,18 +566,18 @@ func (s *Server) buildJob(ctx context.Context, req runRequest) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &job{ctx: ctx, r: r, events: make(chan event, 4), fanout: 1}
+	j := &job{ctx: ctx, r: r, events: make(chan event, 4), jobs: 1}
 	if req.Experiment != "" {
-		d, err := experiments.ExperimentByName(req.Experiment)
-		if err != nil {
+		if _, err := experiments.ExperimentByName(req.Experiment); err != nil {
 			return nil, err
 		}
-		j.desc, j.isExp = d, true
+		j.exp = req.Experiment
+		// A plain server runs an experiment's plan on one goroutine: its
+		// worker pool is the parallelism across requests. A coordinator's
+		// cells run on the fleet, so it keeps two in flight per worker,
+		// every shard busy while its queue stays shallow.
 		if s.fleet != nil {
-			// A coordinator fans an experiment's plan out across the fleet
-			// instead of walking it serially; two in flight per worker
-			// keeps every shard busy while its queue stays shallow.
-			j.fanout = 2 * len(s.fleet.workers)
+			j.jobs = 2 * len(s.fleet.workers)
 		}
 		return j, nil
 	}

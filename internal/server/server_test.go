@@ -35,6 +35,7 @@ type progressLine struct {
 	Error   string          `json:"error"`
 	Done    int             `json:"done"`
 	Total   int             `json:"total"`
+	Fails   []string        `json:"failures"`
 	QDepth  *int            `json:"queue_depth"`
 	QueueCP int             `json:"queue_cap"`
 }
@@ -258,7 +259,8 @@ func TestServeRejectsWhenFull(t *testing.T) {
 // TestServeExperimentStreamsProgress: an experiment request streams one
 // "cell" event per planned cell and finishes with rendered tables.
 func TestServeExperimentStreamsProgress(t *testing.T) {
-	s, err := New(Config{Jobs: 2, Sim: experiments.Config{Scale: 512, Warmup: 1, Measure: 1, Seed: 7}})
+	cfg := experiments.Config{Scale: 512, Warmup: 1, Measure: 1, Seed: 7}
+	s, err := New(Config{Jobs: 2, Sim: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +289,121 @@ func TestServeExperimentStreamsProgress(t *testing.T) {
 	if cells == 0 {
 		t.Error("experiment streamed no per-cell progress")
 	}
+	if plan := experiments.NewRunner(cfg).CellsFor("fig1"); cells != len(plan) {
+		t.Errorf("streamed %d cell events for a plan of %d cells", cells, len(plan))
+	}
 	if done != 1 || len(tables) == 0 {
 		t.Errorf("want one done event with tables, got done=%d tables=%d", done, len(tables))
+	}
+}
+
+// doneOf returns the "done" event of an experiment stream.
+func doneOf(t *testing.T, lines []progressLine) progressLine {
+	t.Helper()
+	for _, l := range lines {
+		if l.Event == "done" {
+			return l
+		}
+	}
+	t.Fatalf("no done event in %+v", lines)
+	return progressLine{}
+}
+
+// TestServeExperimentListsOwnFailures: an experiment's done event lists each
+// failed cell of its own plan once, with its latest error. Requests that
+// agree on (config, faults, timeout) share one runner, so a later request
+// must not inherit the failures an earlier one left on it, and a cell that
+// timed out must not be simulated again to render it.
+func TestServeExperimentListsOwnFailures(t *testing.T) {
+	// Scale 16 cells run for hundreds of milliseconds, so a 1ms budget
+	// always expires mid-simulation.
+	cfg := experiments.Config{Scale: 16, Warmup: 1, Measure: 1, Seed: 7}
+	s, err := New(Config{Jobs: 1, Sim: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, lines := postRun(t, ts.URL, `{"experiment":"fig1","timeout_ms":1}`)
+	plan := experiments.NewRunner(cfg).CellsFor("fig1")
+	fails := doneOf(t, lines).Fails
+	if len(fails) != len(plan) {
+		t.Fatalf("fig1 under a 1ms timeout lists %d failures for its %d cells: %q", len(fails), len(plan), fails)
+	}
+	for i, f := range fails {
+		if !strings.HasPrefix(f, plan[i].Key()+": ") || !strings.Contains(f, "timeout") {
+			t.Errorf("failure %d = %q, want %s's timeout", i, f, plan[i].Key())
+		}
+	}
+	_, lines = postRun(t, ts.URL, `{"experiment":"table2","timeout_ms":1}`)
+	if fails := doneOf(t, lines).Fails; len(fails) != 0 {
+		t.Errorf("table2 simulates nothing but lists failures %q", fails)
+	}
+}
+
+// TestServeMemSchedExperimentGroups: a plain server runs an experiment
+// through Runner.Experiment, so the memsched sweep's siblings share one
+// pricing pass per allocator and core count (the bus cell and the four
+// policies: 5 cells). It streams one cell event per distinct cell and
+// renders the tables Runner.Experiment renders.
+func TestServeMemSchedExperimentGroups(t *testing.T) {
+	cfg := experiments.Config{Scale: 256, Warmup: 1, Measure: 1, Seed: 7}
+	s, err := New(Config{Jobs: 1, Sim: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, lines := postRun(t, ts.URL, `{"experiment":"memsched"}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	plan := experiments.NewRunner(cfg).CellsFor("memsched")
+	seen := map[string]bool{}
+	for _, l := range lines {
+		switch l.Event {
+		case "cell":
+			if seen[l.Cell] || l.Total != len(plan) || l.Failed {
+				t.Errorf("cell event %+v: repeated, failed, or not out of %d", l, len(plan))
+			}
+			seen[l.Cell] = true
+		case "error":
+			t.Fatalf("error event: %s", l.Error)
+		}
+	}
+	if len(seen) != len(plan) {
+		t.Errorf("streamed %d distinct cells for a plan of %d", len(seen), len(plan))
+	}
+	s.mu.Lock()
+	r := s.runners[runnerKey{cfg: cfg}]
+	s.mu.Unlock()
+	m := r.BuildManifest(nil)
+	if len(m.Cells) != len(plan) {
+		t.Errorf("manifest has %d rows for a plan of %d", len(m.Cells), len(plan))
+	}
+	for _, mc := range m.Cells {
+		if mc.Shared != 5 {
+			t.Errorf("%s/%s/%d cores/%q: shared %d, want 5", mc.Platform, mc.Alloc, mc.Cores, mc.MemSched, mc.Shared)
+		}
+	}
+
+	out, err := experiments.NewRunner(cfg).Experiment(context.Background(), "memsched", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, tb := range out.Tables {
+		want = append(want, tb.String())
+	}
+	for _, ch := range out.Charts {
+		want = append(want, ch.String())
+	}
+	if got := doneOf(t, lines).Tables; !reflect.DeepEqual(got, want) {
+		t.Errorf("served tables differ from Runner.Experiment's:\ngot  %q\nwant %q", got, want)
 	}
 }
 

@@ -634,20 +634,14 @@ type ExperimentOutput struct {
 
 // RunExperiment reproduces one of the paper's tables or figures: the cell
 // plan is fanned out over the study's workers, then the tables (and, for
-// fig5/fig7, charts) are rendered from the memoized results. Failed cells
+// fig5/fig7, charts) are rendered from the plan's results. Failed cells
 // render as FAILED rows; inspect Failures for their errors.
 func (s *Study) RunExperiment(name ExperimentName) (ExperimentOutput, error) {
-	d, err := experiments.ExperimentByName(string(name))
+	out, err := s.r.Experiment(context.Background(), string(name), s.jobs, nil)
 	if err != nil {
 		return ExperimentOutput{}, err
 	}
-	if d.Cells != nil {
-		if cells := d.Cells(s.r); len(cells) > 0 {
-			s.r.RunAll(cells, s.jobs)
-		}
-	}
-	out := d.Run(s.r)
-	s.ran = append(s.ran, d.Name)
+	s.ran = append(s.ran, string(name))
 	return ExperimentOutput{Tables: out.Tables, Charts: out.Charts}, nil
 }
 
