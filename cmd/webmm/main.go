@@ -49,13 +49,16 @@
 // MemBalancer-style budget apportioned across concurrent cells with a
 // graceful-degradation admission ladder.
 //
-// Each experiment's plan is the cells its tables read; they are simulated
-// by a worker pool of -jobs goroutines before the tables render from their
-// results, and cells that differ only in -memsched share one pricing pass.
-// Cells are independently seeded, so the parallel results are bit-identical
-// to -jobs 1, the serial loop. With -cellcache, finished cells are
-// persisted (keyed by config and simulator version) and reloaded by later
-// runs.
+// Each experiment's plan is the cells its tables read, and -exp all plans
+// the union of its experiments' reads once. The plan is simulated by a
+// worker pool of -jobs goroutines before the tables render from its
+// results, so a cell several figures read runs (or fails) once. Cells that
+// price the same trace share one pricing pass: those that differ only in
+// -memsched, and a Ruby restart period longer than the run beside the
+// no-restart cell. Cells are independently seeded, so the parallel results
+// are bit-identical to -jobs 1, the serial loop. With -cellcache, finished
+// cells are persisted (keyed by config and simulator version) and reloaded
+// by later runs.
 package main
 
 import (
@@ -212,13 +215,9 @@ func run() int {
 	if *exp == "all" {
 		names = experiments.PaperExperimentNames()
 	}
-	var ran []string
-	for _, name := range names {
-		if err := runExperiment(r, name, *jobs, *csv, cell); err != nil {
-			fmt.Fprintln(os.Stderr, "webmm:", err)
-			return 2
-		}
-		ran = append(ran, name)
+	if err := runExperiments(r, names, *jobs, *csv, cell); err != nil {
+		fmt.Fprintln(os.Stderr, "webmm:", err)
+		return 2
 	}
 
 	status := 0
@@ -240,7 +239,7 @@ func run() int {
 	}
 
 	if tel.Enabled() {
-		m := r.BuildManifest(ran)
+		m := r.BuildManifest(names)
 		m.Config.Jobs = *jobs
 		m.Config.Faults = *faults
 		if *timeout > 0 {
@@ -264,31 +263,33 @@ func run() int {
 	return status
 }
 
-// runExperiment runs the named experiment over the worker pool and prints
-// its tables (and, in table mode, charts). "cell" is the one experiment
-// outside the registry: a single cell selected by the -platform/-alloc/
-// -workload/-cores flags. A signal cancels the runner's Ctx, not this
-// call's: the cells fail, the tables still print with FAILED rows, and the
-// failure report follows.
-func runExperiment(r *experiments.Runner, name string, jobs int, csv bool, cell experiments.Cell) error {
-	if name == "cell" {
+// runExperiments runs the named experiments as one plan over the worker
+// pool and prints their tables (and, in table mode, charts) in order.
+// "cell" is the one experiment outside the registry: a single cell
+// selected by the -platform/-alloc/-workload/-cores flags. A signal
+// cancels the runner's Ctx, not this call's: the cells fail, the tables
+// still print with FAILED rows, and the failure report follows.
+func runExperiments(r *experiments.Runner, names []string, jobs int, csv bool, cell experiments.Cell) error {
+	if len(names) == 1 && names[0] == "cell" {
 		printCell(r.Run(cell))
 		return nil
 	}
-	out, err := r.Experiment(context.Background(), name, jobs, nil)
+	outs, err := r.Experiments(context.Background(), names, jobs, nil)
 	if err != nil {
 		return err
 	}
-	for _, t := range out.Tables {
-		if csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t.String())
+	for _, out := range outs {
+		for _, t := range out.Tables {
+			if csv {
+				fmt.Print(t.CSV())
+			} else {
+				fmt.Println(t.String())
+			}
 		}
-	}
-	if !csv {
-		for _, ch := range out.Charts {
-			fmt.Println(ch.String())
+		if !csv {
+			for _, ch := range out.Charts {
+				fmt.Println(ch.String())
+			}
 		}
 	}
 	return nil

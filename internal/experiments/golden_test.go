@@ -39,9 +39,9 @@ func renderFig1Table3(l Lookup) string {
 // TestGoldenFig1Table3Deterministic is the determinism lock on rendered
 // results: Figure 1 and Table 3 at the golden scale must reproduce the
 // committed testdata byte-for-byte, from both the serial Run loop and
-// Runner.Experiment's parallel fan-out. An intentional simulator change
-// regenerates the file with -update (and, if cell numbers moved, bumps
-// cellCacheVersion).
+// Runner.Experiments' parallel fan-out over their union plan. An
+// intentional simulator change regenerates the file with -update (and, if
+// cell numbers moved, bumps cellCacheVersion).
 func TestGoldenFig1Table3Deterministic(t *testing.T) {
 	path := filepath.Join("testdata", "golden_fig1_table3.txt")
 
@@ -60,13 +60,12 @@ func TestGoldenFig1Table3Deterministic(t *testing.T) {
 		t.Errorf("serial Fig1+Table3 output diverged from %s\ngot:\n%s", path, got)
 	}
 
-	par := NewRunner(goldenCfg())
+	outs, err := NewRunner(goldenCfg()).Experiments(context.Background(), []string{"fig1", "table3"}, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	for _, name := range []string{"fig1", "table3"} {
-		out, err := par.Experiment(context.Background(), name, 4, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, out := range outs {
 		b.WriteString(out.Tables[0].String())
 		b.WriteString("\n")
 	}

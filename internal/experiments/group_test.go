@@ -201,33 +201,98 @@ func TestGroupSpans(t *testing.T) {
 }
 
 // TestGroupingOffPerCell: with remote execution, an active fault plan or a
-// budget controller, every sibling runs alone.
+// budget controller, every sibling runs alone: memsched siblings and a
+// Ruby cell beside its beyond-horizon restart period alike.
 func TestGroupingOffPerCell(t *testing.T) {
-	cells := memSchedSiblings("ddmalloc", 4)
-	n := len(cells)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		cells []Cell
+	}{
+		{"memsched", memSchedCfg(), memSchedSiblings("ddmalloc", 4)},
+		{"ruby", rubyHorizonCfg(), []Cell{rubyCell("ddmalloc", 0), rubyCell("ddmalloc", 5)}},
+	} {
+		n := len(tc.cells)
+		var calls atomic.Int64
+		r := NewRunner(tc.cfg)
+		r.Exec = func(ctx context.Context, c Cell) (CellResult, error) {
+			calls.Add(1)
+			return CellResult{Cell: c}, nil
+		}
+		r.RunAll(tc.cells, 2)
+		if got := calls.Load(); got != int64(n) {
+			t.Errorf("%s: Exec called %d times for %d siblings, want one call per cell", tc.name, got, n)
+		}
 
-	var calls atomic.Int64
-	r := NewRunner(memSchedCfg())
-	r.Exec = func(ctx context.Context, c Cell) (CellResult, error) {
-		calls.Add(1)
-		return CellResult{Cell: c}, nil
+		faulty := NewRunner(tc.cfg)
+		faulty.Faults = FaultPlan{Budget: 64 * mem.GiB} // active, but never denies
+		ctrl := budget.New(4*mem.GiB, budget.Policy{})
+		defer ctrl.Close()
+		leased := NewRunner(tc.cfg)
+		leased.Budget = ctrl
+		for name, r := range map[string]*Runner{"fault plan": faulty, "budget controller": leased} {
+			got := spanCounts(t, r, func() { r.RunAll(tc.cells, 1) })
+			if got["group"] != 0 || got["measure"] != n {
+				t.Errorf("%s, %s: %d group spans and %d measure spans for %d siblings, want 0 and %d",
+					tc.name, name, got["group"], got["measure"], n, n)
+			}
+		}
 	}
-	r.RunAll(cells, 2)
-	if got := calls.Load(); got != int64(n) {
-		t.Errorf("Exec called %d times for %d siblings, want one call per cell", got, n)
-	}
+}
 
-	faulty := NewRunner(memSchedCfg())
-	faulty.Faults = FaultPlan{Budget: 64 * mem.GiB} // active, but never denies
-	ctrl := budget.New(4*mem.GiB, budget.Policy{})
-	defer ctrl.Close()
-	leased := NewRunner(memSchedCfg())
-	leased.Budget = ctrl
-	for name, r := range map[string]*Runner{"fault plan": faulty, "budget controller": leased} {
-		got := spanCounts(t, r, func() { r.RunAll(cells, 1) })
-		if got["group"] != 0 || got["measure"] != n {
-			t.Errorf("%s: %d group spans and %d measure spans for %d siblings, want 0 and %d",
-				name, got["group"], got["measure"], n, n)
+// rubyHorizonCfg is the cheapest Ruby configuration: each stream runs 4
+// transactions, 1 warm and 3 measured (rounds).
+func rubyHorizonCfg() Config {
+	return Config{Scale: 1024, Warmup: 1, Measure: 1, Seed: 20090615}
+}
+
+// TestRestartBeyondHorizonSharesPass: a restart period longer than the
+// transactions a stream runs never fires, so its cell prices the
+// no-restart trace and shares that cell's pass; a period at or inside the
+// horizon runs alone. Either way RunAll equals every cell run alone.
+func TestRestartBeyondHorizonSharesPass(t *testing.T) {
+	cfg := rubyHorizonCfg()
+	if warm, meas := NewRunner(cfg).rounds(rubyCell("glibc", 0)); warm+meas != 4 {
+		t.Fatalf("horizon %d+%d transactions, want 4", warm, meas)
+	}
+	periods := []int{0, 3, 4, 5, 19}
+	shared := map[int]int{0: 3, 3: 0, 4: 0, 5: 3, 19: 3}
+	var cells []Cell
+	for _, alloc := range []string{"glibc", "ddmalloc"} {
+		for _, p := range periods {
+			cells = append(cells, rubyCell(alloc, p))
+		}
+	}
+	alone := NewRunner(cfg)
+	want := make([]CellResult, len(cells))
+	for i, c := range cells {
+		if want[i] = alone.Run(c); want[i].Failed {
+			t.Fatalf("%s failed alone", c.Key())
+		}
+	}
+	// The boundary is real: a period of 4 restarts after the last
+	// transaction, and its priced events change the result; 5 never fires.
+	for i := 0; i < len(cells); i += len(periods) {
+		none, at, past := want[i], want[i+2], want[i+3]
+		if reflect.DeepEqual(at.Res, none.Res) {
+			t.Errorf("%s equals the no-restart cell; the restart at the horizon was not priced", at.Key())
+		}
+		if !reflect.DeepEqual(past.Res, none.Res) || past.Footprint != none.Footprint || past.Calls != none.Calls {
+			t.Errorf("%s differs from the no-restart cell", past.Key())
+		}
+	}
+	for _, jobs := range []int{1, 2} {
+		r := NewRunner(cfg)
+		got := r.RunAll(cells, jobs)
+		for i, c := range cells {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("jobs %d: %s grouped differs from alone:\n got %+v\nwant %+v", jobs, c.Key(), got[i].Res, want[i].Res)
+			}
+		}
+		for _, mc := range r.BuildManifest(nil).Cells {
+			if mc.Shared != shared[mc.RestartEvery] {
+				t.Errorf("jobs %d: %s/ruby:%d shared %d, want %d", jobs, mc.Alloc, mc.RestartEvery, mc.Shared, shared[mc.RestartEvery])
+			}
 		}
 	}
 }

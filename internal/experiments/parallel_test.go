@@ -182,6 +182,39 @@ func TestExperimentRendersFromItsResults(t *testing.T) {
 	}
 }
 
+// TestExperimentsAttemptEachCellOnce: Experiments runs its experiments as
+// one plan, so a cell that several of them read is attempted once. Under a
+// cancelled runner Ctx every cell fails and nothing is memoized, and the
+// paper experiments record one failure per distinct cell of their union,
+// not one per experiment that reads it.
+func TestExperimentsAttemptEachCellOnce(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := NewRunner(goldenCfg())
+	r.Ctx = ctx
+	names := PaperExperimentNames()
+	outs, err := r.Experiments(context.Background(), names, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(names) {
+		t.Fatalf("%d outputs for %d experiments", len(outs), len(names))
+	}
+	failed := map[Cell]int{}
+	for _, f := range r.Failures() {
+		failed[f.Cell]++
+	}
+	plan := r.CellsFor("all")
+	for _, c := range plan {
+		if failed[c] != 1 {
+			t.Errorf("%s failed %d times, want once", c.Key(), failed[c])
+		}
+	}
+	if len(failed) != len(plan) {
+		t.Errorf("%d distinct cells failed, want the plan's %d", len(failed), len(plan))
+	}
+}
+
 // TestExperimentReportsEachCellOnce: with several workers the settle hook
 // runs on each of them, once per distinct cell of the plan, and the done
 // counts it is handed number the cells 1..total.

@@ -217,33 +217,42 @@ func PaperExperimentNames() []string {
 	return out
 }
 
-// CellsFor returns the plan of the named experiment: the distinct cells its
-// render reads, in order of first appearance. It renders once through a
-// recording lookup that answers every read with a failed result and
-// simulates nothing. "all" returns the union of the paper experiments'
-// plans; table2 and unknown names return nil.
+// CellsFor returns the plan of the named experiment (see plan). "all"
+// returns the union of the paper experiments' plans; table2 and unknown
+// names return nil.
 func (r *Runner) CellsFor(name string) []Cell {
 	names := []string{name}
 	if name == "all" {
 		names = PaperExperimentNames()
 	}
-	var plan []Cell
+	_, cells, _ := r.plan(names)
+	return cells
+}
+
+// plan looks the named experiments up and returns them with their plan:
+// the distinct cells their renders read, in order of first appearance. It
+// renders each once through a recording lookup that answers every read
+// with a failed result and simulates nothing.
+func (r *Runner) plan(names []string) ([]Descriptor, []Cell, error) {
+	ds := make([]Descriptor, len(names))
+	var cells []Cell
 	seen := make(map[Cell]bool)
 	record := Lookup{Cfg: r.Cfg, Get: func(c Cell) CellResult {
 		if !seen[c] {
 			seen[c] = true
-			plan = append(plan, c)
+			cells = append(cells, c)
 		}
 		return CellResult{Cell: c, Failed: true}
 	}}
-	for _, n := range names {
+	for i, n := range names {
 		d, err := ExperimentByName(n)
 		if err != nil {
-			return nil
+			return nil, nil, err
 		}
+		ds[i] = d
 		d.Render(record)
 	}
-	return plan
+	return ds, cells, nil
 }
 
 // Fig5Cells, Fig10Cells, Fig12Cells and MemSchedCells are the plans
@@ -253,24 +262,40 @@ func (r *Runner) Fig10Cells() []Cell    { return r.CellsFor("fig10") }
 func (r *Runner) Fig12Cells() []Cell    { return r.CellsFor("fig12") }
 func (r *Runner) MemSchedCells() []Cell { return r.CellsFor("memsched") }
 
-// Experiment runs the named experiment, the one path the CLI, the Study API
-// and webmm serve share: it plans (CellsFor), resolves the plan through
-// RunAll's worker pool and sibling grouping under ctx, calls onCell (when
-// non-nil) as each distinct cell settles with the count settled so far and
-// the plan's size, and renders from the results it collected. onCell calls
-// may overlap when jobs > 1. Rendering never simulates, so a cell whose
-// failure is not memoized is not run a second time. A cancelled ctx stops
-// dispatch and returns its error.
+// Experiments runs the named experiments as one plan, the one path the
+// CLI, the Study API and webmm serve share: it plans the union of their
+// reads (plan), resolves it once through RunAll's worker pool and sibling
+// grouping under ctx, calls onCell (when non-nil) as each distinct cell
+// settles with the count settled so far and the plan's size, and renders
+// every experiment, in order, from the results it collected. onCell calls
+// may overlap when jobs > 1. Rendering never simulates, so a cell that
+// several experiments read is attempted once, and a cell whose failure is
+// not memoized is neither run nor reported a second time. A cancelled ctx
+// stops dispatch and returns its error.
+func (r *Runner) Experiments(ctx context.Context, names []string, jobs int, onCell func(res CellResult, done, total int)) ([]Output, error) {
+	ds, cells, err := r.plan(names)
+	if err != nil {
+		return nil, err
+	}
+	results := r.runAll(ctx, cells, jobs, onCell)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	l := Lookup{Cfg: r.Cfg, Get: func(c Cell) CellResult { return results[c] }}
+	out := make([]Output, len(ds))
+	for i, d := range ds {
+		out[i] = d.Render(l)
+	}
+	return out, nil
+}
+
+// Experiment is Experiments for one name.
 func (r *Runner) Experiment(ctx context.Context, name string, jobs int, onCell func(res CellResult, done, total int)) (Output, error) {
-	d, err := ExperimentByName(name)
+	out, err := r.Experiments(ctx, []string{name}, jobs, onCell)
 	if err != nil {
 		return Output{}, err
 	}
-	results := r.runAll(ctx, r.CellsFor(name), jobs, onCell)
-	if err := ctx.Err(); err != nil {
-		return Output{}, err
-	}
-	return d.Render(Lookup{Cfg: r.Cfg, Get: func(c Cell) CellResult { return results[c] }}), nil
+	return out[0], nil
 }
 
 // ExperimentsMarkdown renders the registry as the generated experiment

@@ -415,12 +415,12 @@ func (r *Runner) RunContext(ctx context.Context, c Cell) CellResult {
 
 // lead resolves cells as their singleflight leader and publishes each
 // result to its waiters; fls[i] is the inflight entry claimed for cells[i].
-// The cells are one cell, or siblings that differ only in MemSched (see
-// siblings). Cache hits are served one by one. Two or more misses share
-// one pricing pass (simulate); a pass that fails for any reason — panic,
-// timeout, cancellation, error — publishes nothing, and every miss then
-// runs alone on the ordinary path, so failures, retries and memoization
-// are exactly those of single cells.
+// The cells are one cell, or siblings with one trace key (see siblings).
+// Cache hits are served one by one. Two or more misses share one pricing
+// pass (simulate); a pass that fails for any reason — panic, timeout,
+// cancellation, error — publishes nothing, and every miss then runs alone
+// on the ordinary path, so failures, retries and memoization are exactly
+// those of single cells.
 func (r *Runner) lead(ctx context.Context, cells []Cell, fls []*inflightCell) []CellResult {
 	// The runner-wide Ctx cancels every cell; a per-call ctx only its own.
 	// Merge the two when both can fire.
@@ -452,9 +452,7 @@ func (r *Runner) lead(ctx context.Context, cells []Cell, fls []*inflightCell) []
 		for k, m := range misses {
 			sibs[k] = cells[m.i]
 		}
-		g := sibs[0]
-		g.MemSched = ""
-		gspan := r.Tel.Tracer().StartSpan("group "+g.Key(), "group")
+		gspan := r.Tel.Tracer().StartSpan("group "+r.traceKey(sibs[0]).Key(), "group")
 		gspan.Arg("cells", n)
 		start := time.Now()
 		spans := make([]*telemetry.Span, n)
@@ -848,9 +846,9 @@ func faultSeed(seed uint64, c Cell, stream, attempt int) uint64 {
 
 // RunAll simulates every cell of a plan, fanning the distinct cells out
 // over jobs worker goroutines (jobs <= 0 means GOMAXPROCS). Sibling cells,
-// which differ only in MemSched, go to one worker together and share one
-// pricing pass (see siblings). Every cell derives all of its randomness
-// from Config.Seed and shares no state with other cells, so neither the
+// which share a trace key, go to one worker together and share one pricing
+// pass (see siblings). Every cell derives all of its randomness from
+// Config.Seed and shares no state with other cells, so neither the
 // schedule nor the grouping can change any number: RunAll is bit-identical
 // to running the same cells serially, and jobs == 1 is exactly the serial
 // loop over the groups. Results are returned in input order; duplicate
@@ -935,12 +933,11 @@ func (r *Runner) runAll(ctx context.Context, cells []Cell, jobs int, onCell func
 }
 
 // siblings drops duplicate cells and partitions the rest into sibling
-// groups, in first-appearance order. Siblings are cells equal but for
-// MemSched: the memory system never feeds back into pricing, so they price
-// the identical trace and one pass can serve them all (DESIGN.md §10).
-// Grouping is off — every cell is a group of one — while cells run
-// remotely (Exec) or under perturbations drawn per cell: an active fault
-// plan or a budget controller's lease.
+// groups, in first-appearance order. Siblings are cells with one trace key
+// (traceKey): they price the identical trace and one pass can serve them
+// all (DESIGN.md §10). Grouping is off — every cell is a group of one —
+// while cells run remotely (Exec) or under perturbations drawn per cell:
+// an active fault plan or a budget controller's lease.
 func (r *Runner) siblings(cells []Cell) [][]Cell {
 	grouping := r.Exec == nil && !r.Faults.Active() && r.Budget == nil
 	at := make(map[Cell]int, len(cells))
@@ -953,7 +950,7 @@ func (r *Runner) siblings(cells []Cell) [][]Cell {
 		seen[c] = true
 		k := c
 		if grouping {
-			k.MemSched = ""
+			k = r.traceKey(c)
 		}
 		if i, ok := at[k]; ok {
 			out[i] = append(out[i], c)
@@ -963,6 +960,38 @@ func (r *Runner) siblings(cells []Cell) [][]Cell {
 		out = append(out, []Cell{c})
 	}
 	return out
+}
+
+// traceKey is c with the fields cleared that cannot reach the priced
+// trace, so cells with one trace key price identical rounds. MemSched is
+// one: the memory system never feeds back into pricing. RestartEvery is the
+// other when the period exceeds the transactions a stream runs (rounds):
+// the runtime restarts once a process has completed RestartEvery
+// transactions, and no process gets there, so the cell prices exactly the
+// no-restart trace. A period equal to the horizon still fires, after the
+// last transaction, and its events are priced.
+func (r *Runner) traceKey(c Cell) Cell {
+	c.MemSched = ""
+	if warm, meas := r.rounds(c); c.RestartEvery > warm+meas {
+		c.RestartEvery = 0
+	}
+	return c
+}
+
+// rounds returns the warmup and measured rounds c's streams run; a round
+// completes one transaction per stream. Ruby cells run long enough that
+// processes age, restart on schedule, and the measurement samples a full
+// process lifetime (Figure 12's effect lives on that horizon): half the
+// paper's 500-transaction period warm, then one and a quarter of it
+// measured.
+func (r *Runner) rounds(c Cell) (warm, meas int) {
+	warm, meas = r.Cfg.Warmup, r.Cfg.Measure
+	if c.Ruby {
+		p500 := r.Cfg.rubyRestart(rubyRestartEvery)
+		warm = max(warm, p500/2)
+		meas = max(meas, p500+p500/4)
+	}
+	return warm, meas
 }
 
 // runGroup resolves one sibling group under ctx. Members already memoized
@@ -1158,9 +1187,10 @@ type builtCell struct {
 // the DRAM model when the member names a policy — builds one machine whose
 // measured misses fan out to every member's model, attaches telemetry,
 // arms a static Cell.Budget, builds one runtime per stream (polling ctx
-// between streams), and sets the phase lengths. Injected faults and a
-// budget lease are per-run, not per-cell, and simulate arms them on the
-// built cell.
+// between streams), and takes the phase lengths from rounds. The members
+// share a trace key, so the first member's fields build the runtimes for
+// all of them. Injected faults and a budget lease are per-run, not
+// per-cell, and simulate arms them on the built cell.
 func (r *Runner) build(ctx context.Context, cells []Cell, span *telemetry.Span) (builtCell, error) {
 	c := cells[0]
 	for _, mc := range cells {
@@ -1209,11 +1239,11 @@ func (r *Runner) build(ctx context.Context, cells []Cell, span *telemetry.Span) 
 	n := m.NumStreams()
 	b := builtCell{
 		cells: cells, models: models, m: m,
-		drivers:    make([]machine.Driver, n),
-		rts:        make([]cellRuntime, n),
-		spaces:     make([]*mem.AddressSpace, n),
-		warmRounds: r.Cfg.Warmup, measRounds: r.Cfg.Measure,
+		drivers: make([]machine.Driver, n),
+		rts:     make([]cellRuntime, n),
+		spaces:  make([]*mem.AddressSpace, n),
 	}
+	b.warmRounds, b.measRounds = r.rounds(c)
 	largePages := plat.Name == "niagara" || (plat.Name == "xeon" && r.Cfg.XeonLargePages)
 	for i, s := range m.Streams() {
 		if err := ctxErr(ctx); err != nil {
@@ -1248,14 +1278,6 @@ func (r *Runner) build(ctx context.Context, cells []Cell, span *telemetry.Span) 
 			rt = php
 		}
 		b.drivers[i], b.rts[i], b.spaces[i] = rt, rt, s.Env.AS
-	}
-	if c.Ruby {
-		// Ruby cells must run long enough that processes age, restart
-		// on schedule, and the measurement samples a full process
-		// lifetime (Figure 12's effect lives on that horizon).
-		p500 := r.Cfg.rubyRestart(rubyRestartEvery)
-		b.warmRounds = max(b.warmRounds, p500/2)
-		b.measRounds = max(b.measRounds, p500+p500/4)
 	}
 	return b, nil
 }
@@ -1359,16 +1381,4 @@ func relThroughput(x, base CellResult) float64 {
 		return 0
 	}
 	return x.Res.Throughput / base.Res.Throughput
-}
-
-// mmShare returns the memory-management share of attributed CPU time.
-func mmShare(cr CellResult) float64 {
-	mm := cr.Res.ByClass[sim.ClassAlloc].Cycles
-	app := cr.Res.ByClass[sim.ClassApp].Cycles
-	os := cr.Res.ByClass[sim.ClassOS].Cycles
-	total := mm + app + os
-	if total == 0 {
-		return 0
-	}
-	return mm / total
 }

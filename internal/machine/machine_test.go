@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"webmm/internal/cpu"
 	"webmm/internal/mem"
@@ -100,6 +101,43 @@ func TestRunContextCancellation(t *testing.T) {
 	r2, r3 := m2.Solve(), m3.Solve()
 	if r2.Throughput != r3.Throughput || r2.Totals != r3.Totals {
 		t.Fatal("RunContext(Background) differs from Run")
+	}
+}
+
+// countingDriver counts the transaction steps its driver takes.
+type countingDriver struct {
+	Driver
+	steps *int
+}
+
+func (d countingDriver) StepTransaction() bool {
+	*d.steps++
+	return d.Driver.StepTransaction()
+}
+
+// TestExpiredContextStopsFirstRound: a phase run under an expired context
+// fails with DeadlineExceeded before it steps or prices anything, however
+// short the phase is, under both the full and the sampled schedule.
+func TestExpiredContextStopsFirstRound(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	run := map[string]func(*Machine, []Driver) error{
+		"RunContext": func(m *Machine, d []Driver) error { return m.RunContext(ctx, d, 0, 1) },
+		"RunSampled": func(m *Machine, d []Driver) error { return m.RunSampled(ctx, d, 1, DefaultSamplePlan()) },
+	}
+	for name, fn := range run {
+		m := New(Xeon(), 2, 8*mem.KiB, 128*mem.KiB, 42)
+		steps := 0
+		var drivers []Driver
+		for _, s := range m.Streams() {
+			drivers = append(drivers, countingDriver{newStreamingDriver(s.Env, 64*mem.KiB), &steps})
+		}
+		if err := fn(m, drivers); err != context.DeadlineExceeded {
+			t.Errorf("%s under an expired deadline returned %v, want context.DeadlineExceeded", name, err)
+		}
+		if steps != 0 {
+			t.Errorf("%s under an expired deadline took %d transaction steps, want 0", name, steps)
+		}
 	}
 }
 

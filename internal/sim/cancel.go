@@ -5,17 +5,15 @@ import (
 	"time"
 )
 
-// checkpointStride is how many Hit calls one context poll covers. Polling a
-// context's done channel is a synchronized load, so the simulation loops
-// amortize it: the round loop stays within a handful of instructions per
-// round on the uncancellable path and one channel poll per stride rounds on
-// the cancellable one.
-const checkpointStride = 4
-
 // Checkpoint is a cooperative-cancellation guard for simulation loops. The
 // simulator has no preemption points — a cell runs on its caller's
 // goroutine until it finishes — so bounded cancellation latency comes from
 // the loops themselves polling a Checkpoint between rounds.
+//
+// Every Hit polls: the loops hit once per pass over their streams, and a
+// pass prices thousands of events, so a done-channel check and a clock read
+// per pass cost nothing measurable, while skipping polls would let a phase
+// shorter than the skip run to its end under an expired deadline.
 //
 // Deadlines are checked against the clock, not just the context's done
 // channel: context.WithTimeout fires through a runtime timer, and a tight
@@ -32,7 +30,6 @@ type Checkpoint struct {
 	done     <-chan struct{}
 	deadline time.Time
 	hasDL    bool
-	count    uint32
 	fired    bool
 }
 
@@ -52,8 +49,7 @@ func NewCheckpoint(ctx context.Context) *Checkpoint {
 }
 
 // Hit reports whether the context has been cancelled or its deadline has
-// passed, actually polling once every checkpointStride calls. Once it has
-// fired it keeps returning true without polling again.
+// passed. Once it has fired it keeps returning true without polling again.
 func (c *Checkpoint) Hit() bool {
 	if c == nil {
 		return false
@@ -61,10 +57,6 @@ func (c *Checkpoint) Hit() bool {
 	if c.fired {
 		return true
 	}
-	if c.count++; c.count < checkpointStride {
-		return false
-	}
-	c.count = 0
 	select {
 	case <-c.done:
 		c.fired = true
