@@ -20,6 +20,8 @@
 // 1.0 — exactly the numbers the solver used before this seam existed.
 package memsys
 
+import "slices"
+
 // Kind classifies one memory-system transaction. The three kinds mirror the
 // three bus counters (BusRead/BusWrite/BusPf) so a Recorder sees exactly the
 // traffic the bus model bills for.
@@ -45,15 +47,28 @@ type Recorder interface {
 
 // FanOut returns one Recorder that hands every Record to each model's
 // recorder in turn, so one pricing pass can feed several memory systems.
-// Models that record nothing (the bus) are skipped. With no recorder left
-// it returns nil, and with one it returns that recorder itself, so a lone
-// model records exactly as it would on its own.
+// DRAM models that share a geometry (address map, window and core count)
+// and have recorded nothing yet are grouped first: they share one window
+// store, which maps, fills and indexes each window once and has every
+// member replay it under its own policy (dram.go). Recording into any
+// member then records into the whole group. Models that record nothing
+// (the bus) are skipped. With no recorder left it returns nil, and with
+// one it returns that recorder itself, so a lone model records exactly as
+// it would on its own.
 func FanOut(models []Model) Recorder {
 	var recs fanOut
-	for _, m := range models {
-		if r := m.Recorder(); r != nil {
-			recs = append(recs, r)
+	for i, m := range models {
+		if d, ok := m.(*DRAM); ok {
+			d.join(models[:i])
 		}
+		r := m.Recorder()
+		if r == nil {
+			continue
+		}
+		if _, ok := r.(*windows); ok && slices.Contains(recs, r) {
+			continue // a grouped DRAM: its store is already fed
+		}
+		recs = append(recs, r)
 	}
 	switch len(recs) {
 	case 0:

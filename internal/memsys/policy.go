@@ -125,10 +125,13 @@ func PoliciesMarkdown() string {
 // by core c (served ones included). Within that subset the replay serves
 // open-row hits first and then the oldest slot, so each policy is its class
 // rule alone. served notifies the scheduler of each service so it can
-// maintain per-core state. Implementations must be deterministic.
+// maintain per-core state, and reports whether that changed the marks the
+// class rule reads: the replay reuses the last eligible set, narrowed to
+// what is still pending, until served reports a change or nothing of the
+// set is pending. Implementations must be deterministic.
 type scheduler interface {
 	eligible(pending uint64, coreMask []uint64) uint64
-	served(core int32, units float64)
+	served(core int32, units float64) (marksChanged bool)
 }
 
 // newScheduler builds the named policy's scheduler for nCores cores. The
@@ -169,7 +172,7 @@ type frfcfs struct{}
 
 func (f *frfcfs) eligible(pending uint64, coreMask []uint64) uint64 { return pending }
 
-func (f *frfcfs) served(core int32, units float64) {}
+func (f *frfcfs) served(core int32, units float64) bool { return false }
 
 // atlas: the cores tied at the least attained service are eligible; within
 // them, FR-FCFS rules apply. (The real ATLAS ages service over long quanta
@@ -196,7 +199,12 @@ func (a *atlas) eligible(pending uint64, coreMask []uint64) uint64 {
 	return best
 }
 
-func (a *atlas) served(core int32, units float64) { a.attained[core] += units }
+// served always reports a change: every service moves attained service,
+// so ATLAS recomputes its class on every pick.
+func (a *atlas) served(core int32, units float64) bool {
+	a.attained[core] += units
+	return true
+}
 
 // tcmEpoch is the service count between TCM re-clusterings.
 const tcmEpoch = 256
@@ -216,11 +224,11 @@ func (t *tcm) eligible(pending uint64, coreMask []uint64) uint64 {
 	return unmarkedFirst(pending, coreMask, t.bwHeavy)
 }
 
-func (t *tcm) served(core int32, units float64) {
+func (t *tcm) served(core int32, units float64) bool {
 	t.epochReqs[core]++
 	t.services++
 	if t.services%tcmEpoch != 0 {
-		return
+		return false
 	}
 	// Re-cluster: above fair share of the epoch's traffic = bandwidth-heavy.
 	var total uint64
@@ -232,13 +240,14 @@ func (t *tcm) served(core int32, units float64) {
 		}
 	}
 	if active == 0 {
-		return
+		return false
 	}
 	fair := total / uint64(active)
 	for c, n := range t.epochReqs {
 		t.bwHeavy[c] = n > fair
 		t.epochReqs[c] = 0
 	}
+	return true
 }
 
 // blissStreak is the consecutive-service count that blacklists a core;
@@ -263,11 +272,11 @@ func (b *bliss) eligible(pending uint64, coreMask []uint64) uint64 {
 	return unmarkedFirst(pending, coreMask, b.blacklisted)
 }
 
-func (b *bliss) served(core int32, units float64) {
+func (b *bliss) served(core int32, units float64) (marksChanged bool) {
 	if core == b.streakCore {
 		b.streak++
-		if b.streak >= blissStreak {
-			b.blacklisted[core] = true
+		if b.streak >= blissStreak && !b.blacklisted[core] {
+			b.blacklisted[core], marksChanged = true, true
 		}
 	} else {
 		b.streakCore, b.streak = core, 1
@@ -277,5 +286,7 @@ func (b *bliss) served(core int32, units float64) {
 		for c := range b.blacklisted {
 			b.blacklisted[c] = false
 		}
+		marksChanged = true
 	}
+	return marksChanged
 }

@@ -191,6 +191,49 @@ func TestDisconnectFreesWorkerAndGoroutines(t *testing.T) {
 	}
 }
 
+// TestStreamEndReleasesSlot: a client that has read its whole NDJSON
+// stream must find the request's worker slot released and the request
+// counted as finished, or its next POST can be refused by the Queue
+// pressure rung's in-flight check. Every request after the first is a memo
+// hit, so the worker's release races the stream's end as closely as it can.
+// That race is narrow, so the test first pins the order directly: execute
+// leaves the stream open, and only the worker closes it.
+func TestStreamEndReleasesSlot(t *testing.T) {
+	s, err := New(Config{Jobs: 1, QueueDepth: 4, Sim: testSim()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	j := &job{ctx: gone, events: make(chan event, 1)}
+	j.execute() // the client left while queued: nothing to run
+	select {
+	case _, open := <-j.events:
+		if !open {
+			t.Fatal("execute closed the stream; the worker must close it after releasing the slot")
+		}
+	default:
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const requests = 200
+	for i := 1; i <= requests; i++ {
+		code, lines := postRun(t, ts.URL, `{"platform":"xeon","alloc":"default","workload":"MediaWiki(ro)","cores":1}`)
+		if code != http.StatusOK || len(lines) == 0 || lines[len(lines)-1].Event != "result" || lines[len(lines)-1].Failed {
+			t.Fatalf("request %d: status %d, events %+v", i, code, lines)
+		}
+		if n := s.inflight.Load(); n != 0 {
+			t.Fatalf("request %d: inflight %d after its stream ended, want 0", i, n)
+		}
+		if n := s.finished.Load(); n != uint64(i) {
+			t.Fatalf("request %d: finished %d after its stream ended, want %d", i, n, i)
+		}
+	}
+}
+
 // TestServeConfigTimeoutDefaults pins the hardening defaults so a zero
 // Config cannot regress to a server without slowloris or stalled-reader
 // protection.

@@ -301,6 +301,9 @@ func (s *Server) worker() {
 		j.execute()
 		s.inflight.Add(-1)
 		s.finished.Add(1)
+		// Only now does the handler's stream end: a client that has read
+		// all of it finds its slot released and its request counted.
+		close(j.events)
 	}
 }
 
@@ -428,7 +431,8 @@ type event map[string]any
 
 // job is one admitted request: the worker executes it and streams events
 // back to the handler, which owns the connection. events is closed by the
-// worker; the handler always drains it, so sends cannot deadlock.
+// worker once the job no longer holds a slot; the handler always drains
+// it, so sends cannot deadlock.
 type job struct {
 	ctx    context.Context
 	r      *experiments.Runner
@@ -448,8 +452,9 @@ func (j *job) emit(e event) {
 	}
 }
 
+// execute runs the job, streaming its events; the worker closes the
+// stream after releasing the job's slot.
 func (j *job) execute() {
-	defer close(j.events)
 	if j.ctx.Err() != nil {
 		return // client left while queued; nothing to simulate
 	}

@@ -19,8 +19,11 @@
 # across hours, so only runs paired in the same window are comparable. The
 # minimum ns/op of each side is recorded: every source of interference only
 # ever slows a run down. B/op and allocs/op are effectively deterministic
-# and are taken from the same run. dram_over_fig1_pct is the DRAM model's
-# overhead, dram_cell over fig1_full, on each side (see overhead below).
+# and are taken from the same run. Each benchmark also records its pairs:
+# the median over reps of each rep's post/pre ns/op ratio, and how many
+# reps post ran faster. A min-of-N gain counts only when the pairs agree.
+# dram_over_fig1_pct is the DRAM model's overhead, dram_cell over
+# fig1_full, on each side (see overhead below).
 #
 # CI's bench-smoke job gates allocs/op and B/op against the committed
 # fig1_full post values.
@@ -85,11 +88,23 @@ overhead() {
     awk '{ v[NR] = $1 } END { printf "%.1f", NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
 }
 
+# paired <bench> -> "ratio won": the median over reps of each rep's post/pre
+# ns/op ratio (a rep's two runs are back to back) and the number of reps in
+# which post ran faster
+paired() {
+  local ns='{ for (i = 1; i <= NF; i++) if ($i == "ns/op") print $(i-1) }'
+  paste <(awk "$ns" "$work/pre.$1") <(awk "$ns" "$work/post.$1") |
+    awk '{ print $2 / $1 }' | sort -g |
+    awk '{ v[NR] = $1; if ($1 < 1) won++ }
+      END { printf "%.4f %d", NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2, won }'
+}
+
 # block <key> <bench> [,]
 block() {
   local key="$1" bench="$2" comma="${3:-}"
   read -r pns pbytes pallocs <<<"$(best pre "$bench")"
   read -r ns bytes allocs <<<"$(best post "$bench")"
+  read -r ratio won <<<"$(paired "$bench")"
   cat <<EOF
     "$key": {
       "benchmark": "$bench",
@@ -104,7 +119,12 @@ block() {
         "bytes_per_op": $bytes,
         "allocs_per_op": $allocs
       },
-      "improvement_pct": $(awk -v a="$pns" -v b="$ns" 'BEGIN { printf "%.1f", 100 * (1 - b / a) }')
+      "improvement_pct": $(awk -v a="$pns" -v b="$ns" 'BEGIN { printf "%.1f", 100 * (1 - b / a) }'),
+      "paired": {
+        "median_post_over_pre": $ratio,
+        "post_won": $won,
+        "reps": $reps
+      }
     }$comma
 EOF
 }
@@ -115,7 +135,7 @@ post_over=$(overhead post)
 {
   cat <<EOF
 {
-  "method": "min of $reps runs each, go test -benchtime 4x -benchmem, GOMAXPROCS=1; pre = commit $pre_commit, its test binary run alternately with post's in one time window; dram_over_fig1_pct = median over reps of each rep's dram_cell/fig1_full ratio",
+  "method": "min of $reps runs each, go test -benchtime 4x -benchmem, GOMAXPROCS=1; pre = commit $pre_commit, its test binary run alternately with post's in one time window; paired = median over reps of each rep's post/pre ns/op ratio and the reps post won; dram_over_fig1_pct = median over reps of each rep's dram_cell/fig1_full ratio",
   "cells": {
     "fig1_full": "xeon/default/MediaWiki(rw)/8 cores, scale 64, warmup 1, measure 2",
     "fig1_sampled": "xeon/default/MediaWiki(rw)/8 cores, scale 32, warmup 1, measure 64, fidelity sampled",
