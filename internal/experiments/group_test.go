@@ -20,11 +20,12 @@ import (
 	"webmm/internal/telemetry"
 )
 
-// Sibling cells — cells equal but for MemSched — share one pricing pass
-// under RunAll. These tests pin that the sharing is invisible: the same
-// results, memo, cache, singleflight and metrics as running every cell
-// alone, and no sharing where faults, leases or remote execution are
-// drawn per cell.
+// Sibling cells — cells with one trace key: equal but for MemSched, a
+// restart period past the run, or a core count of whole L2 clusters —
+// share one pricing pass under RunAll. These tests pin that the sharing is
+// invisible: the same results, memo, cache, singleflight and metrics as
+// running every cell alone, and no sharing where faults, leases or remote
+// execution are drawn per cell.
 
 // memSchedSiblings is one (allocator, cores) point of the memsched sweep:
 // the bus cell and every policy.
@@ -38,7 +39,8 @@ func memSchedSiblings(alloc string, cores int) []Cell {
 
 // TestGroupMatchesAlone: every cell of the memsched sweep, bus siblings
 // included, run through RunAll at one and two jobs, must equal the same
-// cell run alone, under both fidelities.
+// cell run alone, under both fidelities. Each allocator's 4- and 8-core
+// points, the bus and every policy at each, share one 8-core pass.
 func TestGroupMatchesAlone(t *testing.T) {
 	sampled := memSchedCfg()
 	sampled.Measure = 16 // one detail and one warming round of DefaultSamplePlan
@@ -61,11 +63,54 @@ func TestGroupMatchesAlone(t *testing.T) {
 						cfg.Fidelity, jobs, c.Key(), got[i].Res, want[i].Res)
 				}
 			}
+			siblings := len(MemSchedCores) * (1 + len(memsys.PolicyNames()))
 			for _, mc := range r.BuildManifest(nil).Cells {
-				if mc.Shared != 1+len(memsys.PolicyNames()) {
+				if mc.Shared != siblings {
 					t.Errorf("fidelity %q, jobs %d: manifest row %+v not shared by its %d siblings",
-						cfg.Fidelity, jobs, mc, 1+len(memsys.PolicyNames()))
+						cfg.Fidelity, jobs, mc, siblings)
 				}
+			}
+		}
+	}
+}
+
+// TestFig7CoreSiblingsMatchAlone: Figure 7's core sweep through RunAll at
+// one and two jobs equals every cell run alone. A Xeon L2 serves one core
+// pair, so each allocator's 2-, 4- and 8-core cells share the 8-core pass;
+// the 1-core cell leaves its cluster half empty and runs alone, and so
+// does every Niagara cell, whose one L2 serves all eight cores.
+func TestFig7CoreSiblingsMatchAlone(t *testing.T) {
+	cfg := memSchedCfg()
+	cells := NewRunner(cfg).CellsFor("fig7")
+	if len(cells) != 24 {
+		t.Fatalf("Figure 7 plans %d cells, want 24", len(cells))
+	}
+	alone := NewRunner(cfg)
+	want := make([]CellResult, len(cells))
+	for i, c := range cells {
+		if want[i] = alone.Run(c); want[i].Failed {
+			t.Fatalf("%s failed alone", c.Key())
+		}
+	}
+	for _, jobs := range []int{1, 2} {
+		r := NewRunner(cfg)
+		var got []CellResult
+		spans := spanCounts(t, r, func() { got = r.RunAll(cells, jobs) })
+		for i, c := range cells {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("jobs %d: %s grouped differs from alone:\n got %+v\nwant %+v", jobs, c.Key(), got[i].Res, want[i].Res)
+			}
+		}
+		if spans["measure"] != 18 {
+			t.Errorf("jobs %d: %d measure spans for 24 cells, want 18", jobs, spans["measure"])
+		}
+		for _, mc := range r.BuildManifest(nil).Cells {
+			shared := 0
+			if mc.Platform == "xeon" && mc.Cores > 1 {
+				shared = 3
+			}
+			if mc.Shared != shared {
+				t.Errorf("jobs %d: %s/%s/%d cores shared %d, want %d", jobs, mc.Platform, mc.Alloc, mc.Cores, mc.Shared, shared)
 			}
 		}
 	}
@@ -201,8 +246,9 @@ func TestGroupSpans(t *testing.T) {
 }
 
 // TestGroupingOffPerCell: with remote execution, an active fault plan or a
-// budget controller, every sibling runs alone: memsched siblings and a
-// Ruby cell beside its beyond-horizon restart period alike.
+// budget controller, every sibling runs alone: memsched siblings, a Ruby
+// cell beside its beyond-horizon restart period and core-count siblings
+// alike.
 func TestGroupingOffPerCell(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -211,6 +257,7 @@ func TestGroupingOffPerCell(t *testing.T) {
 	}{
 		{"memsched", memSchedCfg(), memSchedSiblings("ddmalloc", 4)},
 		{"ruby", rubyHorizonCfg(), []Cell{rubyCell("ddmalloc", 0), rubyCell("ddmalloc", 5)}},
+		{"cores", memSchedCfg(), []Cell{memSchedCell("ddmalloc", "", 2), memSchedCell("ddmalloc", "", 4), memSchedCell("ddmalloc", "", 8)}},
 	} {
 		n := len(tc.cells)
 		var calls atomic.Int64
@@ -321,9 +368,10 @@ func TestGroupFailureRunsAlone(t *testing.T) {
 
 // TestGroupMetricsMatchAlone: grouping moves no metric a cell reports: the
 // cell count, the DRAM row counters and the per-class counters read the
-// same as when every cell runs alone.
+// same as when every cell runs alone. The 4-core siblings share the 8-core
+// pass, so a member's class counters must count its own streams only.
 func TestGroupMetricsMatchAlone(t *testing.T) {
-	cells := memSchedSiblings("region", 8)
+	cells := append(memSchedSiblings("region", 4), memSchedSiblings("region", 8)...)
 	grouped, alone := NewRunner(memSchedCfg()), NewRunner(memSchedCfg())
 	grouped.Tel, alone.Tel = telemetry.NewLive(), telemetry.NewLive()
 	grouped.RunAll(cells, 1)

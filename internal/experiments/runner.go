@@ -452,7 +452,7 @@ func (r *Runner) lead(ctx context.Context, cells []Cell, fls []*inflightCell) []
 		for k, m := range misses {
 			sibs[k] = cells[m.i]
 		}
-		gspan := r.Tel.Tracer().StartSpan("group "+r.traceKey(sibs[0]).Key(), "group")
+		gspan := r.Tel.Tracer().StartSpan("group "+widest(sibs).Key(), "group")
 		gspan.Arg("cells", n)
 		start := time.Now()
 		spans := make([]*telemetry.Span, n)
@@ -629,14 +629,13 @@ var classLabels = [sim.NumClasses]string{
 }
 
 // attachTelemetry wires a freshly built machine into the telemetry layer:
-// every stream Env reports allocation sizes to the shared profile, and the
-// machine's round sampler feeds per-class counters to the metrics registry
-// and, when tracing, per-round counter tracks under the cell's span. One
-// machine prices for all of its cells, which are siblings, and the class
-// counters count the priced rounds once per cell, so they read the same
-// however the cells were grouped. With telemetry disabled the machine is
-// left untouched.
-func (r *Runner) attachTelemetry(m *machine.Machine, plat machine.Platform, span *telemetry.Span, cells int) {
+// every stream Env reports allocation sizes to the shared profile and, when
+// tracing, the machine's round sampler emits per-round counter tracks under
+// the span of its pass. The tracks cover the whole machine, which for a
+// sibling group is its widest member's; the class metrics count each
+// member's own streams and are published from its solve (recordResult).
+// With telemetry disabled the machine is left untouched.
+func (r *Runner) attachTelemetry(m *machine.Machine, span *telemetry.Span) {
 	if !r.Tel.Enabled() {
 		return
 	}
@@ -645,30 +644,14 @@ func (r *Runner) attachTelemetry(m *machine.Machine, plat machine.Platform, span
 			s.Env.AllocRec = ap
 		}
 	}
-	// Resolve the per-class instruments once per cell so the sampler body
-	// does atomic adds, not registry lookups.
-	met := r.Tel.Metrics()
-	var instr, l2miss [sim.NumClasses]*telemetry.Counter
-	for cls := 0; cls < sim.NumClasses; cls++ {
-		lbl := telemetry.Labels{"class": classLabels[cls]}
-		instr[cls] = met.Counter("webmm_class_instr_total",
-			"retired instructions by event class over measured rounds", lbl)
-		l2miss[cls] = met.Counter("webmm_class_l2_miss_total",
-			"demand L2 misses by event class over measured rounds", lbl)
-	}
 	tr := r.Tel.Tracer()
+	if tr == nil {
+		return
+	}
 	tid := span.TID()
-	cores := m.NCores
-	n := uint64(cells)
+	core, cores := m.Plat.Core, m.NCores
 	m.Sampler = func(s machine.RoundSample) {
 		if !s.Measuring {
-			return
-		}
-		for cls := 0; cls < sim.NumClasses; cls++ {
-			instr[cls].Add(n * s.ByClass[cls].Instr)
-			l2miss[cls].Add(n * s.ByClass[cls].L2Miss())
-		}
-		if tr == nil {
 			return
 		}
 		// Per-round attribution tracks: the single-stream cycle estimate
@@ -678,7 +661,7 @@ func (r *Runner) attachTelemetry(m *machine.Machine, plat machine.Platform, span
 		miss := make(map[string]float64, sim.NumClasses)
 		for cls := 0; cls < sim.NumClasses; cls++ {
 			d := s.ByClass[cls]
-			cyc[classLabels[cls]] = plat.Core.InstrCycles(d) + plat.Core.StallCycles(d, 1.0, cores)
+			cyc[classLabels[cls]] = core.InstrCycles(d) + core.StallCycles(d, 1.0, cores)
 			miss[classLabels[cls]] = float64(d.L2Miss())
 		}
 		tr.Counter(tid, "cycles (est)", cyc)
@@ -934,10 +917,11 @@ func (r *Runner) runAll(ctx context.Context, cells []Cell, jobs int, onCell func
 
 // siblings drops duplicate cells and partitions the rest into sibling
 // groups, in first-appearance order. Siblings are cells with one trace key
-// (traceKey): they price the identical trace and one pass can serve them
-// all (DESIGN.md §10). Grouping is off — every cell is a group of one —
-// while cells run remotely (Exec) or under perturbations drawn per cell:
-// an active fault plan or a budget controller's lease.
+// (traceKey): they price the identical trace, or its leading streams, so
+// one pass at the widest member's width can serve them all (DESIGN.md
+// §10). Grouping is off — every cell is a group of one — while cells run
+// remotely (Exec) or under perturbations drawn per cell: an active fault
+// plan or a budget controller's lease.
 func (r *Runner) siblings(cells []Cell) [][]Cell {
 	grouping := r.Exec == nil && !r.Faults.Active() && r.Budget == nil
 	at := make(map[Cell]int, len(cells))
@@ -963,19 +947,39 @@ func (r *Runner) siblings(cells []Cell) [][]Cell {
 }
 
 // traceKey is c with the fields cleared that cannot reach the priced
-// trace, so cells with one trace key price identical rounds. MemSched is
-// one: the memory system never feeds back into pricing. RestartEvery is the
-// other when the period exceeds the transactions a stream runs (rounds):
-// the runtime restarts once a process has completed RestartEvery
-// transactions, and no process gets there, so the cell prices exactly the
-// no-restart trace. A period equal to the horizon still fires, after the
-// last transaction, and its events are priced.
+// trace, so cells with one trace key price identical rounds, or the
+// leading streams of the widest one's (DESIGN.md §10). MemSched is one:
+// the memory system never feeds back into pricing. RestartEvery is another
+// when the period exceeds the transactions a stream runs (rounds): the
+// runtime restarts once a process has completed RestartEvery transactions,
+// and no process gets there, so the cell prices exactly the no-restart
+// trace. A period equal to the horizon still fires, after the last
+// transaction, and its events are priced. Cores is the third when it is a
+// whole number of L2 clusters: the first cores cores of a wider machine
+// then price exactly as a machine of that width, so the widest member's
+// pass serves the narrower ones (see result). A core count that leaves a
+// cluster half empty keeps its own pass.
 func (r *Runner) traceKey(c Cell) Cell {
 	c.MemSched = ""
 	if warm, meas := r.rounds(c); c.RestartEvery > warm+meas {
 		c.RestartEvery = 0
 	}
+	if p, err := machine.PlatformDescByName(c.Platform); err == nil && c.Cores%p.CoresPerL2 == 0 {
+		c.Cores = 0
+	}
 	return c
+}
+
+// widest returns the first of a sibling group's members with the most
+// cores: the group prices its trace at that width.
+func widest(cells []Cell) Cell {
+	w := cells[0]
+	for _, c := range cells[1:] {
+		if c.Cores > w.Cores {
+			w = c
+		}
+	}
+	return w
 }
 
 // rounds returns the warmup and measured rounds c's streams run; a round
@@ -1156,7 +1160,7 @@ func (r *Runner) simulate(ctx context.Context, cells []Cell, attempt int, span *
 		slv := spans[i].Child("solve", "phase")
 		out[i] = b.result(i)
 		slv.End()
-		r.recordMemStats(out[i].Res.Mem)
+		r.recordResult(out[i].Res)
 		// Only a live controller makes a result pressure-dependent; static
 		// budget denials (Cell.Budget, -faults budget/squeeze without a
 		// controller) are deterministic properties of the cell.
@@ -1184,20 +1188,22 @@ type builtCell struct {
 // build constructs a group of sibling cells under the runner's Config (a
 // single cell is a group of one). It validates every member, scales the
 // platform, gives each member its memory system — the platform's bus, or
-// the DRAM model when the member names a policy — builds one machine whose
-// measured misses fan out to every member's model, attaches telemetry,
-// arms a static Cell.Budget, builds one runtime per stream (polling ctx
-// between streams), and takes the phase lengths from rounds. The members
-// share a trace key, so the first member's fields build the runtimes for
-// all of them. Injected faults and a budget lease are per-run, not
-// per-cell, and simulate arms them on the built cell.
+// a DRAM model of the member's own core count when it names a policy —
+// builds one machine whose measured misses fan out to every member's model
+// (each DRAM model gets its own cores' records), attaches telemetry, arms
+// a static Cell.Budget, builds one runtime per stream (polling ctx between
+// streams), and takes the phase lengths from rounds. The members share a
+// trace key, so the widest member's fields build the machine and the
+// runtimes for all of them, and a narrower member reads the leading
+// streams. Injected faults and a budget lease are per-run, not per-cell,
+// and simulate arms them on the built cell.
 func (r *Runner) build(ctx context.Context, cells []Cell, span *telemetry.Span) (builtCell, error) {
-	c := cells[0]
 	for _, mc := range cells {
 		if err := mc.Validate(); err != nil {
 			return builtCell{}, err
 		}
 	}
+	c := widest(cells)
 	plat, err := machine.PlatformByName(c.Platform)
 	if err != nil {
 		return builtCell{}, err
@@ -1214,7 +1220,7 @@ func (r *Runner) build(ctx context.Context, cells []Cell, span *telemetry.Span) 
 		// the swap adds is row-buffer economics and per-core scheduling.
 		dram, err := memsys.NewDRAM(
 			memsys.DRAMConfig{Policy: memsys.PolicyName(mc.MemSched)},
-			plat.Mem.Link(), c.Cores)
+			plat.Mem.Link(), mc.Cores)
 		if err != nil {
 			return builtCell{}, err
 		}
@@ -1233,8 +1239,8 @@ func (r *Runner) build(ctx context.Context, cells []Cell, span *telemetry.Span) 
 	// it does not scale with the workload.
 	const appCode = 192 * mem.KiB
 	m := machine.New(plat, c.Cores, allocCode, appCode, r.Cfg.Seed)
-	m.RecordTo(memsys.FanOut(models))
-	r.attachTelemetry(m, plat, span, len(cells))
+	m.RecordTo(memsys.FanOut(models, c.Cores))
+	r.attachTelemetry(m, span)
 
 	n := m.NumStreams()
 	b := builtCell{
@@ -1303,15 +1309,18 @@ func (b *builtCell) measure(ctx context.Context, fidelity string) error {
 	return b.m.RunContext(ctx, b.drivers, 0, b.measRounds)
 }
 
-// result solves the machine against member i's memory system and
-// assembles its result: the solved timing, the mean footprint and
-// per-stream calls over the measured rounds, and the budget denials.
+// result solves member i's cores of the machine against its memory system
+// and assembles its result from its own streams, the leading ones: the
+// solved timing, the mean footprint and per-stream calls over the measured
+// rounds, and the budget denials.
 func (b *builtCell) result(i int) CellResult {
-	res := b.m.SolveMem(b.models[i])
-	out := CellResult{Cell: b.cells[i], Res: res}
+	c := b.cells[i]
+	res := b.m.SolveMem(b.models[i], c.Cores)
+	rts, spaces := b.rts[:res.Threads], b.spaces[:res.Threads]
+	out := CellResult{Cell: c, Res: res}
 	var fpSum float64
 	var calls heap.Stats
-	for j, rt := range b.rts {
+	for j, rt := range rts {
 		fpSum += rt.AvgFootprint()
 		after, before := rt.Generator().Stats(), b.callsBefore[j]
 		calls.Mallocs += after.Mallocs - before.Mallocs
@@ -1321,21 +1330,35 @@ func (b *builtCell) result(i int) CellResult {
 		calls.BytesAllocated += after.BytesAllocated - before.BytesAllocated
 		calls.Bailouts += after.Bailouts - before.Bailouts
 	}
-	out.Footprint = fpSum / float64(len(b.rts))
+	out.Footprint = fpSum / float64(len(rts))
 	out.Calls = calls
-	out.TxnsPerStream = float64(res.Txns) / float64(len(b.rts))
-	for _, as := range b.spaces {
+	out.TxnsPerStream = float64(res.Txns) / float64(len(rts))
+	for _, as := range spaces {
 		out.BudgetDenials += as.BudgetDenials()
 	}
 	return out
 }
 
-// recordMemStats publishes a DRAM-backed cell's row-buffer counters.
-func (r *Runner) recordMemStats(ms *memsys.Stats) {
-	if ms == nil || !r.Tel.Enabled() {
+// recordResult publishes one solved cell's metrics: its per-class counters
+// over its own streams, and a DRAM-backed cell's row-buffer counters. A
+// group member publishes its own, so the metrics read the same however the
+// cells were grouped.
+func (r *Runner) recordResult(res machine.Result) {
+	if !r.Tel.Enabled() {
 		return
 	}
 	met := r.Tel.Metrics()
+	for cls, ctr := range res.ClassTotals {
+		lbl := telemetry.Labels{"class": classLabels[cls]}
+		met.Counter("webmm_class_instr_total",
+			"retired instructions by event class over measured rounds", lbl).Add(ctr.Instr)
+		met.Counter("webmm_class_l2_miss_total",
+			"demand L2 misses by event class over measured rounds", lbl).Add(ctr.L2Miss())
+	}
+	ms := res.Mem
+	if ms == nil {
+		return
+	}
 	lbl := telemetry.Labels{"policy": ms.Policy}
 	met.Counter("webmm_dram_row_hits_total",
 		"DRAM requests served from an open row, by scheduling policy", lbl).Add(ms.RowHits)

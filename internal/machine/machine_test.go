@@ -3,6 +3,7 @@ package machine
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -418,5 +419,92 @@ func TestPlatformByName(t *testing.T) {
 	}
 	if _, err := PlatformByName("power6"); err == nil {
 		t.Fatal("unknown platform accepted")
+	}
+}
+
+// TestPlatformDescMatchesPlatform: the registry's topology facts, which
+// the runner reads without constructing a platform, are the platform's.
+func TestPlatformDescMatchesPlatform(t *testing.T) {
+	for _, d := range Platforms() {
+		p := d.New()
+		if d.Name != p.Name || d.MaxCores != p.MaxCores || d.CoresPerL2 != p.CoresPerL2 {
+			t.Errorf("registry entry %s: %d cores, %d per L2; the platform %s has %d and %d",
+				d.Name, d.MaxCores, d.CoresPerL2, p.Name, p.MaxCores, p.CoresPerL2)
+		}
+	}
+}
+
+// TestSolvePrefixMatchesNarrowerMachine: a machine's leading whole L2
+// clusters price exactly as a machine of that width, so solving such a
+// prefix of a wide machine equals solving the narrow machine, against the
+// bus and against a DRAM model that a FanOut fed only its own cores'
+// records. The even streams stream fresh lines, each its own amount, and
+// the odd ones write back dirty lines.
+func TestSolvePrefixMatchesNarrowerMachine(t *testing.T) {
+	p := Xeon()
+	p.L2.Size = 256 * mem.KiB
+	newDRAM := func(cores int) *memsys.DRAM {
+		d, err := memsys.NewDRAM(memsys.DRAMConfig{Policy: memsys.PolicyTCM}, p.Mem.Link(), cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	run := func(m *Machine) {
+		var drivers []Driver
+		for i, s := range m.Streams() {
+			if i%2 == 0 {
+				drivers = append(drivers, newStreamingDriver(s.Env, uint64(i+1)*128*mem.KiB))
+			} else {
+				drivers = append(drivers, &slidingDriver{env: s.Env, base: s.Env.AS.Map(64*mem.MiB, 0, mem.SmallPages).Base})
+			}
+		}
+		m.PriceSetup()
+		m.Run(drivers, 1, 2)
+	}
+	widths := []int{2, 4, 6, 8}
+	wide := New(p, 8, 8*mem.KiB, 128*mem.KiB, 42)
+	drams := make([]memsys.Model, len(widths))
+	for i, n := range widths {
+		drams[i] = newDRAM(n)
+	}
+	wide.RecordTo(memsys.FanOut(drams, 8))
+	run(wide)
+	for i, n := range widths {
+		narrow := New(p, n, 8*mem.KiB, 128*mem.KiB, 42)
+		own := newDRAM(n)
+		narrow.RecordTo(own)
+		run(narrow)
+		if got, want := wide.SolveMem(p.Mem, n), narrow.Solve(); !reflect.DeepEqual(got, want) {
+			t.Errorf("bus, %d of 8 cores:\n got %+v\nwant the %d-core machine's %+v", n, got, n, want)
+		}
+		got, want := wide.SolveMem(drams[i], n), narrow.SolveMem(own, n)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("DRAM, %d of 8 cores:\n got %+v %+v\nwant the %d-core machine's %+v %+v", n, got, got.Mem, n, want, want.Mem)
+		}
+		if ms := want.Mem; ms.Reads == 0 || ms.Writebacks == 0 || ms.Prefetches == 0 {
+			t.Errorf("%d cores recorded %+v: the test does not exercise every kind", n, ms)
+		}
+	}
+}
+
+// TestSolvePrefixSplittingAClusterPanics: a prefix that is not whole L2
+// clusters shared its clusters with streams a narrower machine would not
+// have run, so the solver refuses it, as it refuses a width the machine
+// does not have.
+func TestSolvePrefixSplittingAClusterPanics(t *testing.T) {
+	for _, tc := range []struct {
+		p             Platform
+		cores, prefix int
+	}{{Xeon(), 8, 1}, {Xeon(), 8, 3}, {Niagara(), 8, 4}, {Xeon(), 4, 8}, {Xeon(), 4, 0}} {
+		m := New(tc.p, tc.cores, 8*mem.KiB, 128*mem.KiB, 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: solving %d of %d cores did not panic", tc.p.Name, tc.prefix, tc.cores)
+				}
+			}()
+			m.SolveMem(tc.p.Mem, tc.prefix)
+		}()
 	}
 }

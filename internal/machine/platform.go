@@ -76,7 +76,7 @@ func Xeon() Platform {
 		Name:           "xeon",
 		MaxCores:       xeonCores,
 		ThreadsPerCore: 1,
-		CoresPerL2:     2,
+		CoresPerL2:     xeonCoresPerL2,
 		L1D:            cache.Config{Name: "L1D", Size: 32 * mem.KiB, Ways: 8},
 		L1I:            cache.Config{Name: "L1I", Size: 32 * mem.KiB, Ways: 8},
 		L2:             cache.Config{Name: "L2", Size: 4 * mem.MiB, Ways: 16},
@@ -107,7 +107,7 @@ func Niagara() Platform {
 		Name:           "niagara",
 		MaxCores:       niagaraCores,
 		ThreadsPerCore: 4,
-		CoresPerL2:     8,
+		CoresPerL2:     niagaraCoresPerL2,
 		L1D:            cache.Config{Name: "L1D", Size: 8 * mem.KiB, Ways: 4},
 		L1I:            cache.Config{Name: "L1I", Size: 16 * mem.KiB, Ways: 4},
 		L2:             cache.Config{Name: "L2", Size: 3 * mem.MiB, Ways: 12},
@@ -128,11 +128,13 @@ func Niagara() Platform {
 	}.validate()
 }
 
-// The core count of each platform, read by both its constructor and its
-// registry entry.
+// The core count and L2 cluster width of each platform, read by both its
+// constructor and its registry entry.
 const (
-	xeonCores    = 8
-	niagaraCores = 8
+	xeonCores         = 8
+	xeonCoresPerL2    = 2
+	niagaraCores      = 8
+	niagaraCoresPerL2 = 8
 )
 
 // PlatformDesc describes one registered platform; the table drives name
@@ -145,6 +147,10 @@ type PlatformDesc struct {
 	// MaxCores is the platform's core count, so a cell's cores can be
 	// checked without constructing the platform.
 	MaxCores int
+	// CoresPerL2 is how many cores share each L2 cache, so the runner can
+	// tell which core counts price alike without constructing the
+	// platform.
+	CoresPerL2 int
 	// New constructs a fresh Platform value.
 	New func() Platform
 }
@@ -153,16 +159,18 @@ type PlatformDesc struct {
 // order.
 var platformRegistry = []PlatformDesc{
 	{
-		Name:     "xeon",
-		Doc:      "Intel Xeon E5320: 8 OoO cores, paired 4 MiB L2s, prefetcher, modest FSB",
-		MaxCores: xeonCores,
-		New:      Xeon,
+		Name:       "xeon",
+		Doc:        "Intel Xeon E5320: 8 OoO cores, paired 4 MiB L2s, prefetcher, modest FSB",
+		MaxCores:   xeonCores,
+		CoresPerL2: xeonCoresPerL2,
+		New:        Xeon,
 	},
 	{
-		Name:     "niagara",
-		Doc:      "Sun UltraSPARC T1: 8 in-order cores x 4 threads, shared 3 MiB L2, wide memory",
-		MaxCores: niagaraCores,
-		New:      Niagara,
+		Name:       "niagara",
+		Doc:        "Sun UltraSPARC T1: 8 in-order cores x 4 threads, shared 3 MiB L2, wide memory",
+		MaxCores:   niagaraCores,
+		CoresPerL2: niagaraCoresPerL2,
+		New:        Niagara,
 	},
 }
 

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 
 	"webmm/internal/cpu"
@@ -98,29 +99,44 @@ func (r Result) PerTxn(count uint64) float64 {
 	return float64(count) / float64(r.Txns)
 }
 
-// Solve solves the machine against its platform's memory system
-// (SolveMem with m.Plat.Mem).
-func (m *Machine) Solve() Result { return m.SolveMem(m.Plat.Mem) }
+// Solve solves the machine against its platform's memory system at its
+// full width (SolveMem with m.Plat.Mem and m.NCores).
+func (m *Machine) Solve() Result { return m.SolveMem(m.Plat.Mem, m.NCores) }
 
-// SolveMem converges the timing fixed point against the memory system
-// msys: stalls depend on the memory latency multiplier, the multiplier
-// depends on utilization, and utilization depends on wall time, which
-// depends on stalls. The load counters never change, so damped iteration
-// converges quickly. msys only reads what it recorded, so one priced
-// machine can be solved against each model a memsys.FanOut fed.
+// SolveMem converges the timing fixed point of the machine's first cores
+// cores against the memory system msys: stalls depend on the memory latency
+// multiplier, the multiplier depends on utilization, and utilization
+// depends on wall time, which depends on stalls. The load counters never
+// change, so damped iteration converges quickly. msys only reads what it
+// recorded, so one priced machine can be solved against each model a
+// memsys.FanOut fed.
+//
+// cores is the machine's width or a whole number of L2 clusters below it.
+// The solve then reads only the leading Threads(cores) streams, which
+// priced exactly as a cores-core machine's would: every stream draws its
+// seed and address space by index, an L2 and its prefetcher serve one
+// cluster, L1s and TLBs serve one core, and the round-robin restricted to
+// those streams is the narrower machine's own order (DESIGN.md §10). A
+// prefix that splits a cluster priced against streams the narrower
+// machine would not have, so it panics.
 //
 // The memory system contributes two fixed, pre-converged quantities on top
 // of the utilization feedback: an average service factor folded into
 // LatencyMultiplier (row-buffer economics) and a per-core factor (scheduling
 // favoritism) that scales each core's multiplier. Both are exactly 1 for the
 // bus model, making this arithmetic bit-identical to the pre-seam solver.
-func (m *Machine) SolveMem(msys memsys.Model) Result {
+func (m *Machine) SolveMem(msys memsys.Model, cores int) Result {
 	p := m.Plat
-	nStreams := len(m.streams)
+	if cores < 1 || cores > m.NCores || (cores < m.NCores && cores%p.CoresPerL2 != 0) {
+		panic(fmt.Sprintf("machine: cannot solve %d of %d cores: not a whole number of %d-core L2 clusters",
+			cores, m.NCores, p.CoresPerL2))
+	}
+	streams := m.streams[:p.Threads(cores)]
+	nStreams := len(streams)
 
 	// Per-core relative latency factors are frozen before iteration; the
 	// bus model returns exactly 1, and mult*1 is exact in IEEE arithmetic.
-	coreFactor := make([]float64, m.NCores)
+	coreFactor := make([]float64, cores)
 	for c := range coreFactor {
 		coreFactor[c] = msys.CoreFactor(c)
 	}
@@ -130,7 +146,7 @@ func (m *Machine) SolveMem(msys memsys.Model) Result {
 	var busTxns, totalTxns uint64
 	var totals cpu.Counters
 	var classTotals [sim.NumClasses]cpu.Counters
-	for i, s := range m.streams {
+	for i, s := range streams {
 		for cls := 0; cls < sim.NumClasses; cls++ {
 			instrCyc[i][cls] = p.Core.InstrCycles(s.counters[cls])
 			totals.Add(s.counters[cls])
@@ -144,17 +160,17 @@ func (m *Machine) SolveMem(msys memsys.Model) Result {
 	var wall, util float64
 	stall := make([][sim.NumClasses]float64, nStreams)
 	for iter := 0; iter < 60; iter++ {
-		for i, s := range m.streams {
+		for i, s := range streams {
 			coreMult := mult * coreFactor[s.Core]
 			for cls := 0; cls < sim.NumClasses; cls++ {
-				stall[i][cls] = p.Core.StallCycles(s.counters[cls], coreMult, m.NCores)
+				stall[i][cls] = p.Core.StallCycles(s.counters[cls], coreMult, cores)
 			}
 		}
 		wall = 0
-		for c := 0; c < m.NCores; c++ {
+		for c := 0; c < cores; c++ {
 			var ic, st []float64
-			for i := range m.streams {
-				if m.streams[i].Core != c {
+			for i := range streams {
+				if streams[i].Core != c {
 					continue
 				}
 				ic = append(ic, sum3(instrCyc[i]))
@@ -175,8 +191,8 @@ func (m *Machine) SolveMem(msys memsys.Model) Result {
 
 	res := Result{
 		Platform:    p.Name,
-		Cores:       m.NCores,
-		Threads:     len(m.streams),
+		Cores:       cores,
+		Threads:     nStreams,
 		Txns:        totalTxns,
 		WallCycles:  wall,
 		BusUtil:     math.Min(util, msys.Link().MaxUtil),
@@ -194,19 +210,13 @@ func (m *Machine) SolveMem(msys memsys.Model) Result {
 	// time uniformly, matching how a profiler would see it (the core is
 	// busy with another thread during hidden stalls).
 	hide := p.Core.HideFactor(p.ThreadsPerCore)
-	for i, s := range m.streams {
+	for i, s := range streams {
 		for cls := 0; cls < sim.NumClasses; cls++ {
 			res.ByClass[cls].Cycles += instrCyc[i][cls] + stall[i][cls]*hide
 			res.ByClass[cls].Instr += s.counters[cls].Instr
 		}
 	}
 	return res
-}
-
-// StreamCounters returns the measured per-class counters of stream i (for
-// tests and detailed reports).
-func (m *Machine) StreamCounters(i int) [sim.NumClasses]cpu.Counters {
-	return m.streams[i].counters
 }
 
 func sum3(a [sim.NumClasses]float64) float64 {

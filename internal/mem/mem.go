@@ -315,9 +315,6 @@ func (as *AddressSpace) HighWater() uint64 { return as.highWater.Load() }
 // this negligible and we can verify that).
 func (as *AddressSpace) MapCalls() uint64 { return as.mapCalls }
 
-// Remaining returns the bytes of address space not yet handed out.
-func (as *AddressSpace) Remaining() uint64 { return uint64(as.limit - as.next) }
-
 func roundUp(n, to uint64) uint64 {
 	if to == 0 || to&(to-1) != 0 {
 		panic(fmt.Sprintf("mem: roundUp to %d (not a power of two)", to))

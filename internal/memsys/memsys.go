@@ -46,16 +46,20 @@ type Recorder interface {
 }
 
 // FanOut returns one Recorder that hands every Record to each model's
-// recorder in turn, so one pricing pass can feed several memory systems.
-// DRAM models that share a geometry (address map, window and core count)
-// and have recorded nothing yet are grouped first: they share one window
-// store, which maps, fills and indexes each window once and has every
-// member replay it under its own policy (dram.go). Recording into any
-// member then records into the whole group. Models that record nothing
-// (the bus) are skipped. With no recorder left it returns nil, and with
-// one it returns that recorder itself, so a lone model records exactly as
-// it would on its own.
-func FanOut(models []Model) Recorder {
+// recorder in turn, so one pricing pass of a cores-core machine can feed
+// several memory systems. A DRAM model built for fewer cores gets only the
+// records of its own cores, still in pricing order; when the machine's
+// leading cores price exactly as a machine of the model's width would
+// (whole L2 clusters, DESIGN.md §10), those are the records it would have
+// made. DRAM models that share a geometry (address map, window and core
+// count) and have recorded nothing yet are grouped first: they share one
+// window store, which maps, fills and indexes each window once and has
+// every member replay it under its own policy (dram.go). Recording into
+// any member then records into the whole group. Models that record
+// nothing (the bus) are skipped. With no recorder left it returns nil, and
+// with one that takes every core it returns that recorder itself, so a
+// lone model records exactly as it would on its own.
+func FanOut(models []Model, cores int) Recorder {
 	var recs fanOut
 	for i, m := range models {
 		if d, ok := m.(*DRAM); ok {
@@ -65,25 +69,38 @@ func FanOut(models []Model) Recorder {
 		if r == nil {
 			continue
 		}
-		if _, ok := r.(*windows); ok && slices.Contains(recs, r) {
-			continue // a grouped DRAM: its store is already fed
+		n := cores
+		if w, ok := r.(*windows); ok {
+			if slices.ContainsFunc(recs, func(e coreRecorder) bool { return e.rec == r }) {
+				continue // a grouped DRAM: its store is already fed
+			}
+			n = min(n, w.geo.cores)
 		}
-		recs = append(recs, r)
+		recs = append(recs, coreRecorder{r, n})
 	}
-	switch len(recs) {
-	case 0:
+	switch {
+	case len(recs) == 0:
 		return nil
-	case 1:
-		return recs[0]
+	case len(recs) == 1 && recs[0].cores == cores:
+		return recs[0].rec
 	}
 	return recs
 }
 
-type fanOut []Recorder
+// coreRecorder is one FanOut member: a recorder and the cores below which
+// it takes records.
+type coreRecorder struct {
+	rec   Recorder
+	cores int
+}
+
+type fanOut []coreRecorder
 
 func (f fanOut) Record(line uint64, core int, kind Kind) {
-	for _, r := range f {
-		r.Record(line, core, kind)
+	for _, e := range f {
+		if core < e.cores {
+			e.rec.Record(line, core, kind)
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func sweep(t *testing.T, cfg DRAMConfig, cores int) ([]*DRAM, []Model) {
 func checkGroup(t *testing.T, cfg DRAMConfig, cores int, stream []record, reverse bool) {
 	t.Helper()
 	drams, models := sweep(t, cfg, cores)
-	rec := FanOut(models)
+	rec := FanOut(models, cores)
 	if rec != drams[0].st {
 		t.Fatalf("%+v, %d cores: FanOut returned %T, want the members' one shared store", cfg, cores, rec)
 	}
@@ -218,7 +218,7 @@ func TestFanOutSeparatesGeometries(t *testing.T) {
 		}
 		drams, models = append(drams, d), append(models, d)
 	}
-	rec := FanOut(models)
+	rec := FanOut(models, cores)
 	if f, ok := rec.(fanOut); !ok || len(f) != len(cfgs)-1 {
 		t.Fatalf("FanOut returned %#v, want %d separate stores", rec, len(cfgs)-1)
 	}
@@ -239,13 +239,61 @@ func TestFanOutSeparatesGeometries(t *testing.T) {
 	}
 }
 
+// A DRAM model narrower than the recording machine gets only the records
+// of its own cores, in pricing order: every member of a FanOut over an
+// 8-core stream, with 2-, 4- and 8-core siblings side by side, matches its
+// lone model and the reference replay fed its own cores' records alone. A
+// lone narrower model is fed through the same filter; a lone model of the
+// machine's width is its own recorder.
+func TestFanOutGivesEachModelItsCores(t *testing.T) {
+	const cores = 8
+	stream := mixedStream(5, 6000, cores, sameBankStride(DRAMConfig{}))
+	var drams []*DRAM
+	var models []Model
+	for _, n := range []int{4, 2, 8} {
+		ds, ms := sweep(t, DRAMConfig{}, n)
+		drams, models = append(drams, ds...), append(models, ms...)
+	}
+	narrow, err := NewDRAM(DRAMConfig{Policy: PolicyTCM}, testLink(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewDRAM(DRAMConfig{Policy: PolicyTCM}, testLink(), cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := FanOut([]Model{full}, cores); rec != full.st {
+		t.Fatalf("a lone %d-core model on a %d-core machine is fed through %T, want its own store", cores, cores, rec)
+	}
+	for _, rec := range []Recorder{FanOut(models, cores), FanOut([]Model{narrow}, cores)} {
+		for _, x := range stream {
+			rec.Record(x.line, x.core, x.kind)
+		}
+	}
+	for _, d := range append(drams, narrow) {
+		var own []record
+		for _, x := range stream {
+			if x.core < d.nCores {
+				own = append(own, x)
+			}
+		}
+		got, factors := solved(d)
+		loneModel, ref := alone(t, d.cfg, d.nCores, own)
+		lone, loneFactors := solved(loneModel)
+		if !reflect.DeepEqual(got, lone) || !reflect.DeepEqual(factors, loneFactors) || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%s, %d of %d cores: diverged from its lone model fed its own cores:\n got %+v\nlone %+v\n ref %+v",
+				d.Name(), d.nCores, cores, got, lone, ref)
+		}
+	}
+}
+
 // Once any member has answered a solver query the store has flushed its
 // partial windows, so recording through the group, or into any member,
 // must panic rather than skew the frozen factors.
 func TestFanOutRecordAfterSolvePanics(t *testing.T) {
 	for k := range PolicyNames() {
 		drams, models := sweep(t, DRAMConfig{}, 2)
-		rec := FanOut(models)
+		rec := FanOut(models, 2)
 		for i := range 100 {
 			rec.Record(uint64(i*7), i%2, Read)
 		}
@@ -329,7 +377,7 @@ func BenchmarkDRAMReplay(b *testing.B) {
 					}
 					models[j] = d
 				}
-				rec := FanOut(models)
+				rec := FanOut(models, 8)
 				for _, r := range stream {
 					rec.Record(r.line, r.core, r.kind)
 				}

@@ -345,8 +345,8 @@ func TestServeExperimentListsOwnFailures(t *testing.T) {
 
 // TestServeMemSchedExperimentGroups: a plain server runs an experiment
 // through Runner.Experiment, so the memsched sweep's siblings share one
-// pricing pass per allocator and core count (the bus cell and the four
-// policies: 5 cells). It streams one cell event per distinct cell and
+// pricing pass per allocator (the bus cell and the four policies at 4 and
+// 8 cores: 10 cells). It streams one cell event per distinct cell and
 // renders the tables Runner.Experiment renders.
 func TestServeMemSchedExperimentGroups(t *testing.T) {
 	cfg := experiments.Config{Scale: 256, Warmup: 1, Measure: 1, Seed: 7}
@@ -386,8 +386,8 @@ func TestServeMemSchedExperimentGroups(t *testing.T) {
 		t.Errorf("manifest has %d rows for a plan of %d", len(m.Cells), len(plan))
 	}
 	for _, mc := range m.Cells {
-		if mc.Shared != 5 {
-			t.Errorf("%s/%s/%d cores/%q: shared %d, want 5", mc.Platform, mc.Alloc, mc.Cores, mc.MemSched, mc.Shared)
+		if mc.Shared != 10 {
+			t.Errorf("%s/%s/%d cores/%q: shared %d, want 10", mc.Platform, mc.Alloc, mc.Cores, mc.MemSched, mc.Shared)
 		}
 	}
 
