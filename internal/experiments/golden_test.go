@@ -148,3 +148,58 @@ func TestDRAMFingerprint(t *testing.T) {
 			got, want)
 	}
 }
+
+// TestSampledFingerprint is TestCellFingerprint for -fidelity sampled. 33
+// scheduled measure rounds cover three detail rounds, the two warming
+// rounds before the second and third, and the skipped rounds between, so
+// a change that moves any round of the fixed schedule moves a hash here.
+// The cells span both platforms, a restarting Ruby cell and a DRAM cell;
+// each line is "v<cellCacheVersion> <cell key> <sha256 of the result
+// JSON>".
+func TestSampledFingerprint(t *testing.T) {
+	path := filepath.Join("testdata", "sampled_fingerprint.txt")
+
+	cfg := Config{Scale: 256, Warmup: 1, Measure: 33, Seed: 20090615, Fidelity: FidelitySampled}
+	r := NewRunner(cfg)
+	cells := []struct {
+		cell Cell
+		txns uint64 // three detail rounds of every stream
+	}{
+		{phpCell("xeon", "ddmalloc", workload.MediaWikiRO().Name, 2), 6},
+		{phpCell("niagara", "region", workload.MediaWikiRW().Name, 8), 96},
+		{rubyCell("glibc", cfg.rubyRestart(100)), 24},
+		{memSchedCell("default", string(memsys.PolicyATLAS), 4), 12},
+	}
+	var b strings.Builder
+	for _, tc := range cells {
+		res := r.Run(tc.cell)
+		if res.Failed {
+			t.Fatalf("%s failed", tc.cell.Key())
+		}
+		if res.Res.Txns != tc.txns {
+			t.Errorf("%s measured %d transactions, want %d", tc.cell.Key(), res.Res.Txns, tc.txns)
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		fmt.Fprintf(&b, "v%d %s %s\n", cellCacheVersion, tc.cell.Key(), hex.EncodeToString(sum[:]))
+	}
+	got := b.String()
+
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fingerprint file (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("sampled cell fingerprints mismatch:\n got:\n%swant:\n%s"+
+			"(simulator outputs changed: bump cellCacheVersion and rerun with -update)",
+			got, want)
+	}
+}

@@ -1,10 +1,18 @@
 package webmm_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"webmm"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files in testdata")
 
 func TestSandboxAllocatorRoundTrip(t *testing.T) {
 	sb := webmm.NewSandbox(webmm.Xeon(), 1)
@@ -62,6 +70,75 @@ func TestSandboxMeasureProducesThroughput(t *testing.T) {
 	}
 	if res.CyclesPerTxn() <= 0 {
 		t.Fatal("no cycles attributed")
+	}
+}
+
+// sandboxTraffic drives one fixed stream of allocator traffic through a
+// sandbox of the platform: two warming and then four measured rounds, each
+// a burst of default-allocator and DDmalloc objects that the application
+// writes, works on and reads back, a third of them freed one by one and
+// the rest in bulk at the end of the round.
+func sandboxTraffic(t *testing.T, p webmm.Platform) webmm.MachineResult {
+	t.Helper()
+	sb := webmm.NewSandbox(p, 7)
+	def, err := sb.NewAllocator(webmm.AllocDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := []webmm.Allocator{def, sb.NewDDmalloc(webmm.DDOptions{})}
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 300; i++ {
+			size := uint64(16 + i*37%480)
+			for _, a := range allocs {
+				obj := a.Malloc(size)
+				sb.Touch(obj, size, true)
+				sb.Work(50)
+				sb.Touch(obj, size, false)
+				if i%3 == 0 {
+					a.Free(obj)
+				}
+			}
+		}
+		for _, a := range allocs {
+			a.FreeAll()
+		}
+		if round < 2 {
+			sb.Warm()
+		} else {
+			sb.Measure()
+		}
+	}
+	return sb.Result()
+}
+
+// TestSandboxFingerprint pins a Xeon sandbox's whole solved result, every
+// counter and cycle, as the sha256 of its JSON in
+// testdata/sandbox_fingerprint.txt. Regenerate it with -update only when a
+// change means to move the sandbox's numbers.
+func TestSandboxFingerprint(t *testing.T) {
+	path := filepath.Join("testdata", "sandbox_fingerprint.txt")
+
+	data, err := json.Marshal(sandboxTraffic(t, webmm.Xeon()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	got := "xeon " + hex.EncodeToString(sum[:]) + "\n"
+
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fingerprint file (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("sandbox fingerprint mismatch:\n got %swant %s", got, want)
 	}
 }
 
