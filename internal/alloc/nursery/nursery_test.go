@@ -1,6 +1,7 @@
 package nursery
 
 import (
+	"context"
 	"testing"
 
 	"webmm/internal/alloctest"
@@ -111,7 +112,7 @@ func TestSection5NurserySizeTradeoff(t *testing.T) {
 			})
 		}
 		m.PriceSetup()
-		m.Run(drivers, 2, 3)
+		m.RunContext(context.Background(), drivers, 2, 3)
 		res := m.Solve()
 		return res.PerTxn(res.Totals.BusTxns())
 	}

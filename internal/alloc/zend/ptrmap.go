@@ -80,39 +80,10 @@ func (m *ptrmap) putSlow(k mem.Addr, v *block) {
 	}
 }
 
-// del removes k, compacting the probe chain behind it (backward-shift
-// deletion) so lookups never need tombstones.
-func (m *ptrmap) del(k mem.Addr) {
-	i := m.idx(k)
-	for {
-		switch m.keys[i] {
-		case k:
-		case 0:
-			return
-		default:
-			i = (i + 1) & m.mask
-			continue
-		}
-		break
-	}
-	m.keys[i] = 0
-	m.vals[i] = nil
-	m.n--
-	for j := (i + 1) & m.mask; m.keys[j] != 0; j = (j + 1) & m.mask {
-		// Move j's entry into the hole unless it already sits within
-		// [home(j), j] — i.e. the hole is outside its probe path.
-		h := m.idx(m.keys[j])
-		if (j-h)&m.mask >= (j-i)&m.mask {
-			m.keys[i], m.vals[i] = m.keys[j], m.vals[j]
-			m.keys[j], m.vals[j] = 0, nil
-			i = j
-		}
-	}
-}
-
-// take removes and returns k's value in one probe walk — get followed by
-// del, without re-finding the slot. The Malloc fast-cache hit and every
-// Free do exactly this pairing.
+// take removes and returns k's value in one probe walk, compacting the
+// probe chain behind it (backward-shift deletion) so lookups never need
+// tombstones. The Malloc fast-cache hit and every Free look an entry up and
+// remove it, which take does without re-finding the slot.
 func (m *ptrmap) take(k mem.Addr) (*block, bool) {
 	i := m.idx(k)
 	for {
@@ -131,6 +102,8 @@ func (m *ptrmap) take(k mem.Addr) (*block, bool) {
 	m.vals[i] = nil
 	m.n--
 	for j := (i + 1) & m.mask; m.keys[j] != 0; j = (j + 1) & m.mask {
+		// Move j's entry into the hole unless it already sits within
+		// [home(j), j] — i.e. the hole is outside its probe path.
 		h := m.idx(m.keys[j])
 		if (j-h)&m.mask >= (j-i)&m.mask {
 			m.keys[i], m.vals[i] = m.keys[j], m.vals[j]

@@ -442,13 +442,6 @@ func (l *Lease) Squeeze(factor float64) {
 	c.mu.Unlock()
 }
 
-// Live returns the tenant's mapped bytes as of the last rebalance.
-func (l *Lease) Live() uint64 {
-	l.c.mu.Lock()
-	defer l.c.mu.Unlock()
-	return l.live
-}
-
 // Limit returns the tenant limit pushed at the last rebalance (0 until
 // the controller has a budget).
 func (l *Lease) Limit() uint64 {

@@ -43,7 +43,7 @@ func memSchedSiblings(alloc string, cores int) []Cell {
 // points, the bus and every policy at each, share one 8-core pass.
 func TestGroupMatchesAlone(t *testing.T) {
 	sampled := memSchedCfg()
-	sampled.Measure = 16 // one detail and one warming round of DefaultSamplePlan
+	sampled.Measure = 16 // one detail and one warming round of the sampled schedule
 	sampled.Fidelity = FidelitySampled
 	for _, cfg := range []Config{memSchedCfg(), sampled} {
 		cells := NewRunner(cfg).MemSchedCells()

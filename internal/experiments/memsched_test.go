@@ -55,15 +55,15 @@ func TestMemSchedDeterministicPerPolicy(t *testing.T) {
 // (and the Cell structs the cache re-verifies against) differ in MemSched.
 func TestMemSchedCellKeysDistinct(t *testing.T) {
 	bus := memSchedCell("default", "", 4)
-	seen := map[string]bool{cellKey(bus): true}
+	seen := map[string]bool{bus.Key(): true}
 	for _, p := range memsys.PolicyNames() {
-		k := cellKey(memSchedCell("default", string(p), 4))
+		k := memSchedCell("default", string(p), 4).Key()
 		if seen[k] {
 			t.Fatalf("cache key %q collides", k)
 		}
 		seen[k] = true
 	}
-	if k := cellKey(memSchedCell("default", "frfcfs", 4)); k == cellKey(bus) {
+	if k := memSchedCell("default", "frfcfs", 4).Key(); k == bus.Key() {
 		t.Fatalf("bus and DRAM cells share key %q", k)
 	}
 }

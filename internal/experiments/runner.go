@@ -48,9 +48,9 @@ type Config struct {
 	// Fidelity selects how the measurement phase executes: FidelityFull
 	// (the default; the empty string means the same) prices every
 	// transaction, FidelitySampled prices a SMARTS-style sample of the
-	// measured rounds (machine.DefaultSamplePlan) — much faster on long
-	// measurement runs, with per-transaction statistics accurate to a
-	// couple of percent. The field participates in the cell-cache key,
+	// measured rounds (machine.RunSampled's fixed 16/1/1 schedule) — much
+	// faster on long measurement runs, with per-transaction statistics
+	// accurate to a couple of percent. The field participates in the cell-cache key,
 	// so full-fidelity cache entries are never served to sampled runs or
 	// vice versa.
 	Fidelity string
@@ -232,6 +232,18 @@ func (e *CellError) Error() string {
 	return fmt.Sprintf("cell %+v failed after %d attempt(s): %v", e.Cell, e.Attempts, e.Err)
 }
 
+// Environmental reports whether a cell failure came from the environment
+// rather than from the cell: a cancellation, an expired deadline or an
+// ErrTransient infrastructure failure. Such a failure is recorded in
+// Failures but never memoized or counted against the cache, so the next
+// caller gets a fresh attempt. Budget pressure is the other environmental
+// cause; it is carried by CellError.Pressured, not by the error chain.
+func Environmental(err error) bool {
+	return errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, ErrTransient)
+}
+
 // ErrTransient marks a cell failure as environmental — the infrastructure
 // failed, not the cell (an unreachable worker shard, a shed request, a
 // dropped progress stream). Like a cancellation it is recorded in
@@ -272,8 +284,8 @@ type Runner struct {
 	// not memoized or cached. Set before the first Run.
 	Budget *budget.Controller
 	// Timeout bounds each cell attempt's simulation wall time (0 =
-	// unbounded). Cancellation is cooperative: the simulation loops poll
-	// their context between pricing rounds and phases (sim.Checkpoint),
+	// unbounded). Cancellation is cooperative: the simulation polls its
+	// context before every pricing pass and at every phase (sim.CtxErr),
 	// so a timed-out cell stops on its own goroutine — nothing is
 	// abandoned — and is reported failed.
 	Timeout time.Duration
@@ -515,9 +527,7 @@ func (r *Runner) settle(c Cell, fl *inflightCell, span *telemetry.Span, out Cell
 	cancelled := false
 	if cerr != nil {
 		out = CellResult{Cell: c, Failed: true, Pressured: cerr.Pressured}
-		cancelled = errors.Is(cerr.Err, context.Canceled) ||
-			errors.Is(cerr.Err, context.DeadlineExceeded) ||
-			errors.Is(cerr.Err, ErrTransient)
+		cancelled = Environmental(cerr.Err)
 	}
 	countCache := !r.Faults.Active() && r.Cache != nil && !cancelled
 
@@ -570,10 +580,18 @@ func (r *Runner) settle(c Cell, fl *inflightCell, span *telemetry.Span, out Cell
 				met.Counter("webmm_cache_misses_total", "cells missing from the disk cell cache", nil).Inc()
 			}
 		}
-		met.Histogram("webmm_cell_seconds", "wall time per resolved cell (a grouped cell's share)",
-			[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}, nil).Observe(acct.wall.Seconds())
+		CellSeconds(met).Observe(acct.wall.Seconds())
 	}
 	return out
+}
+
+// CellSeconds returns met's histogram of wall time per resolved cell, nil
+// on a nil registry. The runner observes every cell as it settles; a
+// server reads the median back for its Retry-After estimate and a fleet
+// coordinator for its hedge delay, so all of them share one definition.
+func CellSeconds(met *telemetry.Registry) *telemetry.Histogram {
+	return met.Histogram("webmm_cell_seconds", "wall time per resolved cell (a grouped cell's share)",
+		[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}, nil)
 }
 
 // joinContext returns a context that is cancelled when either input is.
@@ -595,11 +613,7 @@ func joinContext(ctx, extra context.Context) (context.Context, func()) {
 
 // Key renders the cell as the compact platform/alloc/workload/cores path
 // used in span names, failure reports, and the server's progress events.
-func (c Cell) Key() string { return cellKey(c) }
-
-// cellKey renders a cell as the compact path used in span names and failure
-// reports.
-func cellKey(c Cell) string {
+func (c Cell) Key() string {
 	k := fmt.Sprintf("%s/%s/%s/%d", c.Platform, c.Alloc, c.Workload, c.Cores)
 	if c.Ruby {
 		k += fmt.Sprintf("/ruby:%d", c.RestartEvery)
@@ -682,7 +696,7 @@ func (r *Runner) BuildManifest(experiments []string) *telemetry.Manifest {
 	for c := range r.cells {
 		cells = append(cells, c)
 	}
-	sort.Slice(cells, func(i, j int) bool { return cellKey(cells[i]) < cellKey(cells[j]) })
+	sort.Slice(cells, func(i, j int) bool { return cells[i].Key() < cells[j].Key() })
 
 	m := &telemetry.Manifest{
 		Tool:          "webmm",
@@ -728,7 +742,7 @@ func (r *Runner) BuildManifest(experiments []string) *telemetry.Manifest {
 	}
 	for _, fe := range r.failures {
 		m.Failures = append(m.Failures, telemetry.ManifestFailure{
-			Cell: cellKey(fe.Cell), Error: fe.Err.Error(), Attempts: fe.Attempts,
+			Cell: fe.Cell.Key(), Error: fe.Err.Error(), Attempts: fe.Attempts,
 		})
 	}
 	sort.Slice(m.Failures, func(i, j int) bool { return m.Failures[i].Cell < m.Failures[j].Cell })
@@ -795,21 +809,6 @@ func (r *Runner) simulateGuarded(ctx context.Context, cells []Cell, attempt int,
 		}
 	}()
 	return r.simulate(ctx, cells, attempt, span, spans, pressured)
-}
-
-// ctxErr is a deadline-aware ctx.Err: context.WithTimeout only reports an
-// error once its runtime timer has been serviced, which a tight simulation
-// loop can delay past the whole cell. Phase boundaries check the clock
-// against the deadline directly so an expired budget fails the cell
-// deterministically.
-func ctxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return context.DeadlineExceeded
-	}
-	return nil
 }
 
 // faultSeed derives the fault-injection RNG seed for one (cell, stream,
@@ -1046,13 +1045,12 @@ func (r *Runner) runGroup(ctx context.Context, g []Cell) []CellResult {
 // holds member i's solve; a nil entry is opened as the member's cell span
 // when its solve starts. A group of one passes its cell span as both.
 //
-// Cancellation checkpoints: ctx is polled between the construct/warmup/
-// measure/solve phases here, per stream during construction, and between
-// pricing rounds inside Machine.RunContext. Every checkpoint ends the
-// phase span it is in before returning, so a cancelled cell's trace is
-// still well formed.
+// Cancellation: ctx is polled through sim.CtxErr on entry and before the
+// solves here, per stream during construction, and before every pricing
+// pass of the machine's round loop. Every poll ends the phase span it is
+// in before returning, so a cancelled cell's trace is still well formed.
 func (r *Runner) simulate(ctx context.Context, cells []Cell, attempt int, span *telemetry.Span, spans []*telemetry.Span, pressured *bool) ([]CellResult, error) {
-	if err := ctxErr(ctx); err != nil {
+	if err := sim.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	c := cells[0]
@@ -1102,7 +1100,7 @@ func (r *Runner) simulate(ctx context.Context, cells []Cell, attempt int, span *
 	// static budget armed by build — an admitted tenant is governed.
 	var lease *budget.Lease
 	if r.Budget != nil {
-		lease = r.Budget.Admit(cellKey(c), b.spaces)
+		lease = r.Budget.Admit(c.Key(), b.spaces)
 		defer func() {
 			// Read the denial tally before releasing so a panic that
 			// unwinds through here (a restart that could not remap under
@@ -1149,7 +1147,7 @@ func (r *Runner) simulate(ctx context.Context, cells []Cell, attempt int, span *
 	if err != nil {
 		return nil, err
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := sim.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	out := make([]CellResult, len(cells))
@@ -1252,7 +1250,7 @@ func (r *Runner) build(ctx context.Context, cells []Cell, span *telemetry.Span) 
 	b.warmRounds, b.measRounds = r.rounds(c)
 	largePages := plat.Name == "niagara" || (plat.Name == "xeon" && r.Cfg.XeonLargePages)
 	for i, s := range m.Streams() {
-		if err := ctxErr(ctx); err != nil {
+		if err := sim.CtxErr(ctx); err != nil {
 			return builtCell{}, err
 		}
 		// A static Cell.Budget arms before the runtime is built: it models
@@ -1304,7 +1302,7 @@ func (b *builtCell) measure(ctx context.Context, fidelity string) error {
 		b.callsBefore[i] = rt.Generator().Stats()
 	}
 	if fidelity == FidelitySampled {
-		return b.m.RunSampled(ctx, b.drivers, b.measRounds, machine.DefaultSamplePlan())
+		return b.m.RunSampled(ctx, b.drivers, b.measRounds)
 	}
 	return b.m.RunContext(ctx, b.drivers, 0, b.measRounds)
 }

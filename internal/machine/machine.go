@@ -114,8 +114,8 @@ type Machine struct {
 	Plat   Platform
 	NCores int
 
-	// Sampler, when non-nil, receives one RoundSample after every pricing
-	// round (Run rounds and PriceMeasured calls). The delta computation
+	// Sampler, when non-nil, receives one RoundSample at the end of every
+	// transaction round (PriceSetup delivers none). The delta computation
 	// runs only when a sampler is attached, so the nil case costs one
 	// branch per round.
 	Sampler func(RoundSample)
@@ -156,7 +156,7 @@ type Machine struct {
 	measuring bool
 
 	// cursors, done and runScratch are scratch reused across priceRound
-	// and Run calls, keeping the per-round pricing path allocation-free
+	// and round calls, keeping the per-round pricing path allocation-free
 	// (a full experiment prices tens of thousands of rounds).
 	cursors    []evCursor
 	done       []bool
@@ -223,7 +223,7 @@ func New(p Platform, nCores int, allocCode, appCode uint64, seed uint64) *Machin
 }
 
 // Streams returns the machine's streams, one per hardware thread. Callers
-// construct a Driver around each stream's Env before calling Run.
+// construct a Driver around each stream's Env before calling RunContext.
 func (m *Machine) Streams() []*Stream { return m.streams }
 
 // NumStreams returns the number of hardware threads.
@@ -245,68 +245,62 @@ func (m *Machine) PriceSetup() {
 	m.priceRound()
 }
 
-// PriceMeasured prices all buffered events into the measured counters and
-// counts one transaction per stream. It serves callers that drive the
-// streams' Envs directly (e.g. the webmm.Sandbox) rather than through Run.
-func (m *Machine) PriceMeasured() {
-	m.measuring = true
-	for _, s := range m.streams {
-		s.txns++
-	}
-	m.priceRound()
-	m.measuring = false
-	m.sample(true)
-}
-
-// Run executes warmup+measure transactions on every stream. Warmup rounds
-// warm caches, TLBs and allocator free lists; measured rounds accumulate the
-// per-class hardware counters used by Solve. Within a round, drivers
-// generate slices that are priced interleaved, modelling the concurrent
-// execution of the runtime processes.
-func (m *Machine) Run(drivers []Driver, warmup, measure int) {
-	_ = m.RunContext(context.Background(), drivers, warmup, measure)
-}
-
-// RunContext is Run with cooperative cancellation: between pricing rounds
-// the loop polls ctx through a sim.Checkpoint and returns ctx's error once
-// it is cancelled, leaving the machine's counters at whatever the completed
-// rounds accumulated. A cancelled machine must not be Solved or reused —
-// the caller reports the cell failed and discards it. An uncancellable ctx
-// (context.Background) makes the guard a nil *Checkpoint, so the hot loop
-// pays one nil check per pricing round — BenchmarkFig1Cell cannot tell the
-// difference.
+// RunContext executes warmup+measure transactions on every stream. Warmup
+// rounds warm caches, TLBs and allocator free lists; measured rounds
+// accumulate the per-class hardware counters used by Solve. Within a round,
+// drivers generate slices that are priced interleaved, modelling the
+// concurrent execution of the runtime processes.
+//
+// Cancellation is cooperative: before every pass over the streams the loop
+// polls ctx through sim.CtxErr and returns its error once it fires,
+// leaving the machine's counters at whatever the completed rounds
+// accumulated. A cancelled machine must not be Solved or reused — the
+// caller reports the cell failed and discards it. An uncancellable ctx
+// (context.Background) costs one nil check per pass.
 func (m *Machine) RunContext(ctx context.Context, drivers []Driver, warmup, measure int) error {
+	for r := 0; r < warmup+measure; r++ {
+		if err := m.round(ctx, drivers, r >= warmup); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// round runs one transaction on every stream: it steps each unfinished
+// driver, prices the slices they emitted, and repeats until every driver
+// has completed its transaction. A measured round keeps the counters and
+// counts one transaction per stream as its driver completes; this is the
+// only place the machine counts a transaction. The round ends with one
+// sample for the Sampler.
+func (m *Machine) round(ctx context.Context, drivers []Driver, measured bool) error {
 	if len(drivers) != len(m.streams) {
 		panic(fmt.Sprintf("machine: %d drivers for %d streams", len(drivers), len(m.streams)))
 	}
-	cp := sim.NewCheckpoint(ctx)
+	m.measuring = measured
 	done := m.done
-	for round := 0; round < warmup+measure; round++ {
-		m.measuring = round >= warmup
-		for i := range done {
-			done[i] = false
-		}
-		remaining := len(drivers)
-		for remaining > 0 {
-			if cp.Hit() {
-				return cp.Err()
-			}
-			for i, d := range drivers {
-				if done[i] {
-					continue
-				}
-				if d.StepTransaction() {
-					done[i] = true
-					remaining--
-					if m.measuring {
-						m.streams[i].txns++
-					}
-				}
-			}
-			m.priceRound()
-		}
-		m.sample(m.measuring)
+	for i := range done {
+		done[i] = false
 	}
+	remaining := len(drivers)
+	for remaining > 0 {
+		if err := sim.CtxErr(ctx); err != nil {
+			return err
+		}
+		for i, d := range drivers {
+			if done[i] {
+				continue
+			}
+			if d.StepTransaction() {
+				done[i] = true
+				remaining--
+				if measured {
+					m.streams[i].txns++
+				}
+			}
+		}
+		m.priceRound()
+	}
+	m.sample(measured)
 	return nil
 }
 

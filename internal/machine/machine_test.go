@@ -68,13 +68,13 @@ func runDrivers(t *testing.T, p Platform, nCores int, mk func(*sim.Env) Driver, 
 		drivers = append(drivers, mk(s.Env))
 	}
 	m.PriceSetup()
-	m.Run(drivers, warm, meas)
+	m.RunContext(context.Background(), drivers, warm, meas)
 	return m.Solve()
 }
 
 // TestRunContextCancellation: a cancelled context stops the round loop at
-// its next checkpoint and surfaces the context's error; an uncancellable
-// context runs to completion with a nil error and results identical to Run.
+// its next poll and surfaces the context's error; an uncancellable context
+// runs to completion with a nil error and the same results every time.
 func TestRunContextCancellation(t *testing.T) {
 	build := func() (*Machine, []Driver) {
 		m := New(Xeon(), 4, 8*mem.KiB, 128*mem.KiB, 42)
@@ -98,10 +98,12 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Fatalf("uncancellable RunContext returned %v", err)
 	}
 	m3, d3 := build()
-	m3.Run(d3, 2, 3)
+	if err := m3.RunContext(context.Background(), d3, 2, 3); err != nil {
+		t.Fatalf("uncancellable RunContext returned %v", err)
+	}
 	r2, r3 := m2.Solve(), m3.Solve()
 	if r2.Throughput != r3.Throughput || r2.Totals != r3.Totals {
-		t.Fatal("RunContext(Background) differs from Run")
+		t.Fatal("two uncancellable runs of the same machine differ")
 	}
 }
 
@@ -124,7 +126,7 @@ func TestExpiredContextStopsFirstRound(t *testing.T) {
 	defer cancel()
 	run := map[string]func(*Machine, []Driver) error{
 		"RunContext": func(m *Machine, d []Driver) error { return m.RunContext(ctx, d, 0, 1) },
-		"RunSampled": func(m *Machine, d []Driver) error { return m.RunSampled(ctx, d, 1, DefaultSamplePlan()) },
+		"RunSampled": func(m *Machine, d []Driver) error { return m.RunSampled(ctx, d, 1) },
 	}
 	for name, fn := range run {
 		m := New(Xeon(), 2, 8*mem.KiB, 128*mem.KiB, 42)
@@ -235,7 +237,7 @@ func TestClassAttributionSeparatesAllocFromApp(t *testing.T) {
 		env.Instr(1000, sim.ClassAlloc)
 		env.Instr(3000, sim.ClassApp)
 	})
-	m.Run([]Driver{d}, 1, 4)
+	m.RunContext(context.Background(), []Driver{d}, 1, 4)
 	r := m.Solve()
 	if r.ByClass[sim.ClassAlloc].Instr != 4000 {
 		t.Fatalf("alloc instr = %d, want 4000", r.ByClass[sim.ClassAlloc].Instr)
@@ -270,7 +272,7 @@ func TestWarmupExcludedFromCounters(t *testing.T) {
 	mk := func() (*Machine, Result) {
 		m := New(p, 1, 8*mem.KiB, 128*mem.KiB, 5)
 		d := newReusingDriver(m.Streams()[0].Env, 32*mem.KiB)
-		m.Run([]Driver{d}, 5, 2)
+		m.RunContext(context.Background(), []Driver{d}, 5, 2)
 		return m, m.Solve()
 	}
 	_, r := mk()
@@ -294,7 +296,7 @@ func TestSamplerDeltasAndNoPerturbation(t *testing.T) {
 			drivers = append(drivers, newStreamingDriver(s.Env, 64*mem.KiB))
 		}
 		m.PriceSetup()
-		m.Run(drivers, 2, 3)
+		m.RunContext(context.Background(), drivers, 2, 3)
 		return m.Solve(), m.sampleRound
 	}
 
@@ -393,11 +395,11 @@ func TestRecorderSeesMeasuredBusTraffic(t *testing.T) {
 		newStreamingDriver(envs[1], 6*mem.MiB),
 	}
 	m.PriceSetup()
-	m.Run(drivers, 3, 0)
+	m.RunContext(context.Background(), drivers, 3, 0)
 	if rec.n != [len(rec.n)]uint64{} {
 		t.Fatalf("unmeasured pricing recorded %v (read, writeback, prefetch)", rec.n)
 	}
-	m.Run(drivers, 1, 2)
+	m.RunContext(context.Background(), drivers, 1, 2)
 	tot := m.Solve().Totals
 	want := [len(rec.n)]uint64{memsys.Read: tot.BusRead, memsys.Writeback: tot.BusWrite, memsys.Prefetch: tot.BusPf}
 	if rec.n != want {
@@ -460,7 +462,7 @@ func TestSolvePrefixMatchesNarrowerMachine(t *testing.T) {
 			}
 		}
 		m.PriceSetup()
-		m.Run(drivers, 1, 2)
+		m.RunContext(context.Background(), drivers, 1, 2)
 	}
 	widths := []int{2, 4, 6, 8}
 	wide := New(p, 8, 8*mem.KiB, 128*mem.KiB, 42)

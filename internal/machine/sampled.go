@@ -1,18 +1,14 @@
 package machine
 
-import (
-	"context"
-	"fmt"
+import "context"
 
-	"webmm/internal/sim"
-)
-
-// SamplePlan shapes RunSampled's SMARTS-style round schedule (Wunderlich et
-// al., ISCA 2003). Each period of Period transaction rounds begins with
-// Detail rounds that are generated, priced, and measured, and ends with Warm
-// rounds that are generated and priced but not measured — they re-warm the
-// caches, TLBs and allocator state immediately before the next period's
-// detail rounds. Every round in between is skipped outright.
+// RunSampled's SMARTS-style round schedule (Wunderlich et al., ISCA 2003):
+// each period of samplePeriod transaction rounds begins with sampleDetail
+// rounds that are generated, priced, and measured, and ends with
+// sampleWarm rounds that are generated and priced but not measured — they
+// re-warm the caches, TLBs and allocator state immediately before the next
+// period's detail rounds. Every round in between is skipped outright: 2
+// executed rounds per 16, an 8x round-count reduction.
 //
 // Skipping a round means the transactions it would have run never happen —
 // neither generated nor priced. This is transaction-population sampling, not
@@ -23,85 +19,37 @@ import (
 // from exactly the same detail rounds; the cost is that long-horizon state
 // drift (e.g. slow heap growth across thousands of transactions) is sampled
 // at period granularity rather than continuously.
-type SamplePlan struct {
-	// Period is the schedule's cycle length in transaction rounds.
-	Period int
-	// Detail is the number of measured rounds at the start of each period.
-	Detail int
-	// Warm is the number of unmeasured warming rounds at the end of each
-	// period (adjacent to the next period's detail rounds).
-	Warm int
-}
+const (
+	samplePeriod = 16
+	sampleDetail = 1
+	sampleWarm   = 1
+)
 
-// DefaultSamplePlan is the study's sampled-fidelity schedule: 2 executed
-// rounds per 16 (one measured, one warming), an 8x round-count reduction.
-func DefaultSamplePlan() SamplePlan {
-	return SamplePlan{Period: 16, Detail: 1, Warm: 1}
-}
-
-// Validate checks the plan's internal consistency.
-func (p SamplePlan) Validate() error {
-	if p.Period < 1 || p.Detail < 1 || p.Warm < 0 {
-		return fmt.Errorf("machine: invalid sample plan %+v", p)
-	}
-	if p.Detail+p.Warm > p.Period {
-		return fmt.Errorf("machine: sample plan %+v overcommits its period", p)
-	}
-	return nil
-}
-
-// RunSampled executes the measurement phase of a run under plan's sampling
+// RunSampled executes the measurement phase of a run under the sampling
 // schedule: detail rounds are priced and measured exactly as RunContext's
 // measured rounds are, warming rounds are priced unmeasured, and skipped
-// rounds cost nothing at all. measure counts scheduled rounds — the
-// full-fidelity equivalent — so a caller switching fidelity modes changes
-// only how many of those rounds execute, not the schedule's span. Warmup
-// belongs to the caller (run RunContext(ctx, drivers, warmup, 0) first),
-// matching how the experiment runner phases its cells.
+// rounds cost nothing at all. Both run through the same round body, so
+// cancellation, transaction counting and sampling behave as in RunContext.
+// measure counts scheduled rounds — the full-fidelity equivalent — so a
+// caller switching fidelity modes changes only how many of those rounds
+// execute, not the schedule's span. Warmup belongs to the caller (run
+// RunContext(ctx, drivers, warmup, 0) first), matching how the experiment
+// runner phases its cells.
 //
 // The machine's counters afterwards describe only the detail rounds, and
 // Solve's per-transaction quantities are unbiased for the same reason; its
 // absolute Throughput and WallCycles describe the sampled transaction
 // population, not the full schedule.
-func (m *Machine) RunSampled(ctx context.Context, drivers []Driver, measure int, plan SamplePlan) error {
-	if err := plan.Validate(); err != nil {
-		return err
-	}
-	if len(drivers) != len(m.streams) {
-		panic(fmt.Sprintf("machine: %d drivers for %d streams", len(drivers), len(m.streams)))
-	}
-	cp := sim.NewCheckpoint(ctx)
-	done := m.done
-	for round := 0; round < measure; round++ {
-		q := round % plan.Period
-		detail := q < plan.Detail
-		if !detail && q < plan.Period-plan.Warm {
-			continue // fast-forward: no generation, no pricing
+func (m *Machine) RunSampled(ctx context.Context, drivers []Driver, measure int) error {
+	for r := 0; r < measure; r++ {
+		q := r % samplePeriod
+		detail := q < sampleDetail
+		if !detail && q < samplePeriod-sampleWarm {
+			continue // skipped: no generation, no pricing
 		}
-		m.measuring = detail
-		for i := range done {
-			done[i] = false
+		if err := m.round(ctx, drivers, detail); err != nil {
+			return err
 		}
-		remaining := len(drivers)
-		for remaining > 0 {
-			if cp.Hit() {
-				return cp.Err()
-			}
-			for i, d := range drivers {
-				if done[i] {
-					continue
-				}
-				if d.StepTransaction() {
-					done[i] = true
-					remaining--
-					if detail {
-						m.streams[i].txns++
-					}
-				}
-			}
-			m.priceRound()
-		}
-		m.sample(detail)
 	}
 	return nil
 }

@@ -87,8 +87,7 @@ func (f *fleet) hedgeDelay() time.Duration {
 	if f.hedgeAfter <= 0 {
 		return 0
 	}
-	p50 := f.s.tel.Metrics().Histogram("webmm_cell_seconds", "wall time per resolved cell",
-		[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}, nil).Quantile(0.5)
+	p50 := experiments.CellSeconds(f.s.tel.Metrics()).Quantile(0.5)
 	if p50 <= 0 {
 		return 0
 	}

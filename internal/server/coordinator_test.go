@@ -112,8 +112,7 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 	primary := coord.fleet.pick(hedged)
 	// Seed the p50 estimate (hedgeDelay reads webmm_cell_seconds): four
 	// 50ms observations make the hedge fire at 2×50ms = 100ms.
-	hist := coord.tel.Metrics().Histogram("webmm_cell_seconds", "wall time per resolved cell",
-		[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}, nil)
+	hist := experiments.CellSeconds(coord.tel.Metrics())
 	for i := 0; i < 4; i++ {
 		hist.Observe(0.05)
 	}

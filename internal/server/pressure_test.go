@@ -57,7 +57,7 @@ func TestRetryAfterComputed(t *testing.T) {
 
 	// Two 2-second cells: the (1,10] bucket holds both, p50 interpolates to
 	// 5.5s. Empty queue → ceil(1 × 5.5) = 6.
-	h := s.tel.Metrics().Histogram("webmm_cell_seconds", "", nil, nil)
+	h := experiments.CellSeconds(s.tel.Metrics())
 	h.Observe(2)
 	h.Observe(2)
 	if got := s.retryAfterSeconds(); got != 6 {

@@ -7,7 +7,7 @@
 // work instead of dropping it.
 //
 // The service only works because cell cancellation is cooperative
-// (Runner.RunContext → Machine.RunContext → sim.Checkpoint): a client that
+// (Runner.RunContext → Machine.RunContext → sim.CtxErr): a client that
 // disconnects, a per-request timeout, or shutdown past the drain budget
 // stops the simulation on its own goroutine. Nothing is abandoned, so a
 // server that has served a million requests holds exactly its worker-pool
@@ -17,7 +17,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -526,11 +525,7 @@ func (j *job) failure(c experiments.Cell) (msg string, environmental bool, ok bo
 		if f.Cell != c {
 			continue
 		}
-		env := f.Pressured ||
-			errors.Is(f.Err, context.Canceled) ||
-			errors.Is(f.Err, context.DeadlineExceeded) ||
-			errors.Is(f.Err, experiments.ErrTransient)
-		return f.Err.Error(), env, true
+		return f.Err.Error(), f.Pressured || experiments.Environmental(f.Err), true
 	}
 	return "", false, false
 }
@@ -628,8 +623,7 @@ func (s *Server) pressureLevel() budget.Level {
 // median cell wall time, clamped to [1s, 300s]. Before the first cell
 // resolves the histogram is empty and the estimate is the 1-second floor.
 func (s *Server) retryAfterSeconds() int {
-	p50 := s.tel.Metrics().Histogram("webmm_cell_seconds", "wall time per resolved cell",
-		[]float64{0.001, 0.01, 0.1, 1, 10, 60, 600}, nil).Quantile(0.5)
+	p50 := experiments.CellSeconds(s.tel.Metrics()).Quantile(0.5)
 	wait := int(math.Ceil(float64(len(s.queue)+1) * p50))
 	if wait < 1 {
 		wait = 1

@@ -40,7 +40,6 @@ import (
 
 	"webmm/internal/apprt"
 	"webmm/internal/budget"
-	"webmm/internal/cpu"
 	"webmm/internal/experiments"
 	"webmm/internal/heap"
 	"webmm/internal/machine"
@@ -65,10 +64,6 @@ type AllocStats = heap.Stats
 
 // Platform describes one simulated machine.
 type Platform = machine.Platform
-
-// HardwareCounters are the OProfile-style event counts the simulator
-// reports (instructions, cache misses, TLB misses, bus transactions).
-type HardwareCounters = cpu.Counters
 
 // MachineResult is a solved simulation outcome: throughput, wall time, bus
 // utilization, per-component cycle attribution and hardware counters.
@@ -235,36 +230,30 @@ func WorkloadByName(name string) (WorkloadProfile, error) { return workload.ByNa
 // ---------------------------------------------------------------------------
 // Sandbox: hand-driven single-core simulation.
 
-// Sandbox is a single-core simulated machine for exercising allocators
-// directly: create allocators on it, run malloc/free traffic, then Measure
-// to price the recorded accesses through the cache hierarchy.
+// Sandbox is a single-core, single-thread simulated machine for exercising
+// allocators directly: create allocators on it, run malloc/free traffic,
+// then Measure to price the recorded accesses through the cache hierarchy.
 type Sandbox struct {
 	m   *machine.Machine
 	env *sim.Env
 }
 
-// SandboxOption configures a Sandbox at construction.
-type SandboxOption func(*Sandbox)
+// recorded is the driver of the sandbox's one stream: the caller has
+// already recorded the transaction's events into the stream's Env by hand,
+// so the transaction is complete at its first step.
+type recorded struct{}
 
-// WithSandboxTelemetry attaches a telemetry session: allocator traffic
-// flows into its per-size-class allocation profile. The disabled (nil)
-// session is accepted and ignored.
-func WithSandboxTelemetry(tel *Telemetry) SandboxOption {
-	return func(s *Sandbox) {
-		if ap := tel.AllocSizes(); ap != nil {
-			s.env.AllocRec = ap
-		}
-	}
-}
+func (recorded) StepTransaction() bool { return true }
 
-// NewSandbox builds a one-core sandbox of the platform.
-func NewSandbox(p Platform, seed uint64, opts ...SandboxOption) *Sandbox {
+// NewSandbox builds a sandbox of one core of the platform running one
+// hardware thread. All traffic is recorded by hand into that one thread,
+// so a platform's other hardware threads (Niagara has four per core) would
+// sit idle: each would still count every measured transaction, and the
+// solve would hide the core's stalls behind threads that run nothing.
+func NewSandbox(p Platform, seed uint64) *Sandbox {
+	p.ThreadsPerCore = 1
 	m := machine.New(p, 1, 16*mem.KiB, 192*mem.KiB, seed)
-	s := &Sandbox{m: m, env: m.Streams()[0].Env}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
+	return &Sandbox{m: m, env: m.Streams()[0].Env}
 }
 
 // NewAllocator constructs a named allocator on the sandbox's address space.
@@ -295,8 +284,12 @@ func (s *Sandbox) Work(n uint64) { s.env.Instr(n, sim.ClassApp) }
 func (s *Sandbox) Warm() { s.m.PriceSetup() }
 
 // Measure prices all recorded events into the measured counters and marks
-// the end of one logical transaction.
-func (s *Sandbox) Measure() { s.m.PriceMeasured() }
+// the end of one logical transaction: one measured round of the machine's
+// round loop, which counts the transaction like any simulated one. An
+// uncancellable context never stops the round, so there is no error.
+func (s *Sandbox) Measure() {
+	_ = s.m.RunContext(context.Background(), []machine.Driver{recorded{}}, 0, 1)
+}
 
 // Result solves the timing model for everything measured so far.
 func (s *Sandbox) Result() MachineResult { return s.m.Solve() }

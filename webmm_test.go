@@ -142,6 +142,22 @@ func TestSandboxFingerprint(t *testing.T) {
 	}
 }
 
+// TestSandboxCountsOneTransactionPerMeasure: a sandbox runs one hardware
+// thread on every platform, so the same traffic counts one transaction per
+// Measure call and the same instructions per transaction on Xeon and on
+// Niagara, whose cores have four hardware threads.
+func TestSandboxCountsOneTransactionPerMeasure(t *testing.T) {
+	xeon, niagara := sandboxTraffic(t, webmm.Xeon()), sandboxTraffic(t, webmm.Niagara())
+	for _, res := range []webmm.MachineResult{xeon, niagara} {
+		if res.Txns != 4 {
+			t.Errorf("%s sandbox counted %d transactions for 4 Measure calls", res.Platform, res.Txns)
+		}
+	}
+	if x, n := xeon.PerTxn(xeon.Totals.Instr), niagara.PerTxn(niagara.Totals.Instr); x != n {
+		t.Errorf("instructions per transaction: xeon %.0f, niagara %.0f; the same traffic must retire the same work", x, n)
+	}
+}
+
 func TestWorkloadRegistry(t *testing.T) {
 	wls := webmm.Workloads()
 	if len(wls) != 7 {
