@@ -50,9 +50,9 @@ type Config struct {
 	// transaction, FidelitySampled prices a SMARTS-style sample of the
 	// measured rounds (machine.RunSampled's fixed 16/1/1 schedule) — much
 	// faster on long measurement runs, with per-transaction statistics
-	// accurate to a couple of percent. The field participates in the cell-cache key,
-	// so full-fidelity cache entries are never served to sampled runs or
-	// vice versa.
+	// accurate to a couple of percent. The field participates in the
+	// cell-cache key, so full-fidelity cache entries are never served to
+	// sampled runs or vice versa.
 	Fidelity string
 }
 
@@ -232,6 +232,16 @@ func (e *CellError) Error() string {
 	return fmt.Sprintf("cell %+v failed after %d attempt(s): %v", e.Cell, e.Attempts, e.Err)
 }
 
+// ErrTransient marks a cell failure as environmental — the infrastructure
+// failed, not the cell (an unreachable worker shard, a shed request, a
+// dropped progress stream). Like a cancellation it is recorded in
+// Failures but never memoized: the next caller gets a fresh attempt.
+// Remote executors (Runner.Exec) wrap such failures so the distinction
+// survives the runner's error handling.
+var ErrTransient = errors.New("transient cell failure")
+
+func (e *CellError) Unwrap() error { return e.Err }
+
 // Environmental reports whether a cell failure came from the environment
 // rather than from the cell: a cancellation, an expired deadline or an
 // ErrTransient infrastructure failure. Such a failure is recorded in
@@ -243,16 +253,6 @@ func Environmental(err error) bool {
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, ErrTransient)
 }
-
-// ErrTransient marks a cell failure as environmental — the infrastructure
-// failed, not the cell (an unreachable worker shard, a shed request, a
-// dropped progress stream). Like a cancellation it is recorded in
-// Failures but never memoized: the next caller gets a fresh attempt.
-// Remote executors (Runner.Exec) wrap such failures so the distinction
-// survives the runner's error handling.
-var ErrTransient = errors.New("transient cell failure")
-
-func (e *CellError) Unwrap() error { return e.Err }
 
 // panicError wraps a recovered panic so the retry logic can distinguish
 // transient crashes (retried once) from deterministic configuration errors

@@ -103,7 +103,7 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	r2, r3 := m2.Solve(), m3.Solve()
 	if r2.Throughput != r3.Throughput || r2.Totals != r3.Totals {
-		t.Fatal("two uncancellable runs of the same machine differ")
+		t.Fatal("two uncancellable runs of identically built machines differ")
 	}
 }
 
